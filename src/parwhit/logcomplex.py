@@ -106,10 +106,6 @@ class LogComplex:
             return self
         return LogComplex(self.log_mag, self.phase + math.pi)
 
-    def abs_ratio(self, other: "LogComplex") -> float:
-        """|self| / |other| as a float (may overflow for huge separations)."""
-        return math.exp(self.log_mag - other.log_mag)
-
 
 def rescaled_sum(values: Iterable[LogComplex]) -> LogComplex:
     """Sum LogComplex values by rescaling to the largest magnitude.

@@ -11,14 +11,30 @@ trapezoid rule per dimension.  The integrand is analytic in a strip around
 the contour and decays in every |Im gamma_i| direction, so the trapezoid
 converges geometrically in both the step and the truncation.
 
-Numerical structure exploited here:
+The sum is not formed node by node.  On the vertical contour the pair
+measure factorizes into two Vandermonde determinants,
 
-* the integrand is symmetric under permutations of the gamma_i and vanishes
-  identically on coincident nodes (the reciprocal-gamma measure has zeros),
-  so the tensor-product sum is m! times the sum over the strictly increasing
-  index wedge;
-* magnitudes are assembled in log space and the wedge sum is accumulated
-  with exact compensated summation after rescaling by the peak log-magnitude.
+    prod_{i != k} 1 / gamma1(i(y_i - y_k) | hbar)
+        = (2 pi hbar)^(-m(m-1)/2) det[y_i^j] det[e^{(2k-m+1) pi y_i / hbar}],
+
+so by the Andréief (Cauchy-Binet) identity, which holds for the discrete
+trapezoid measure as for any other, the m-fold tensor sum over n^m nodes
+equals exactly
+
+    m! (T / (2 pi hbar))^(m(m-1)/2) det M,
+    M_jk = sum_y w(y) f(y) (y/T)^j e^{(2k-m+1) pi y / hbar},
+
+an m x m matrix of one-dimensional trapezoid moments (f: the exponent and
+the N numerator gammas over 2 pi; w: the trapezoid weight).  The cost is
+O(n m^2) instead of O(n^m), for every m.  Columns are rescaled in log space
+and the determinant comes from an LU factorization (numpy.linalg.slogdet).
+
+The error budget reads per-node leverages lev(y) = G[y] M^-1 F[y] (M = F^T G):
+by the matrix-determinant lemma, dropping node y scales det M by
+1 - lev(y), and the leverages sum to m.  The truncation tail is the
+leverage of the two end nodes, continued over ~2 hbar of further decay;
+sum |lev| / m measures the cancellation between nodes and scales both the
+aliasing term and the round-off floor 2e-16 sqrt(n) sum |lev|.
 
 Contour placement trades two error sources against each other: the distance
 of epsilon above max(lambda) sets the analyticity margin (hence the step),
@@ -59,8 +75,8 @@ class MBResult:
     """Quadrature value with a relative error estimate.
 
     error_estimate aggregates the contour-truncation tail, the trapezoid
-    aliasing error, and the round-off noise floor of the rescaled sum; it is
-    an order-of-magnitude bound, not a rigorous one.
+    aliasing error, and the round-off floor of the moment sums; it is an
+    order-of-magnitude bound, not a rigorous one.
     """
 
     value: LogComplex
@@ -127,79 +143,25 @@ def _pair_log(s: SpectralData, y: np.ndarray) -> np.ndarray:
     return C + C.T
 
 
-_NOISE_FLOOR = 1e-40
+def _moments(s: SpectralData, c: ContourConfig):
+    """Andréief moment matrix of the trapezoid rule on the contour c.
 
-
-def _wedge_reduce(s: SpectralData, c: ContourConfig):
-    """Rescaled compensated sum over the strictly increasing index wedge.
-
-    Returns (M, S, bsum, neff): the full tensor integral equals
-    m! * exp(M) * S; bsum is the rescaled sum of magnitudes on the
-    truncation boundary of the wedge (any coordinate at +-T) and neff counts
-    nodes contributing above the round-off floor.
+    Returns (F, G, M, log_scale): F[y, j] = (y/T)^j and
+    G[y, k] = exp((2k - m + 1) pi y / hbar + A(y) - log_scale[k]) over the
+    nodes y, where A carries the numerator, the trapezoid weight and the
+    1/(2 pi) of the measure; M = F^T G is the m x m moment matrix.
     """
-    m, n = s.m, c.nodes_per_dim
-    y = np.linspace(-c.half_extent, c.half_extent, n)
-    step = y[1] - y[0]
-    logw = np.full(n, math.log(step))
-    logw[0] -= math.log(2.0)
-    logw[-1] -= math.log(2.0)
+    m, h, T = s.m, s.hbar, c.half_extent
+    y = np.linspace(-T, T, c.nodes_per_dim)
+    logw = np.full(y.size, math.log(c.step))
+    logw[[0, -1]] -= math.log(2.0)
     A = _numerator_log(s, c.epsilon, y) + logw - math.log(2.0 * math.pi)
-
-    if m == 1:
-        R = A.real
-        M = float(np.max(R))
-        W = np.exp(A - M)
-        S = math.fsum(W.real.tolist()) + 1j * math.fsum(W.imag.tolist())
-        aw = np.abs(W)
-        bsum = float(aw[0] + aw[-1])
-        neff = int(np.count_nonzero(aw > _NOISE_FLOOR))
-        return M, S, bsum, neff
-
-    Q = _pair_log(s, y)
-
-    if m == 2:
-        iu, ju = np.triu_indices(n, k=1)
-        L = A[iu] + A[ju] + Q[iu, ju]
-        M = float(np.max(L.real))
-        W = np.exp(L - M)
-        S = math.fsum(W.real.tolist()) + 1j * math.fsum(W.imag.tolist())
-        aw = np.abs(W)
-        bsum = float(np.sum(aw[(iu == 0) | (ju == n - 1)]))
-        neff = int(np.count_nonzero(aw > _NOISE_FLOOR))
-        return M, S, bsum, neff
-
-    # m == 3: slab over the smallest wedge index i; within a slab the (j, k)
-    # block is the strict upper triangle of an (n-i-1)-square.  A wedge node
-    # touches the truncation boundary iff i == 0 or k == n-1.
-    B2 = A[:, None] + A[None, :] + Q
-    M = -np.inf
-    for i in range(n - 2):
-        row = Q[i, i + 1:].real
-        sub = B2[i + 1:, i + 1:].real + (A[i].real + row[:, None] + row[None, :])
-        tri = np.triu(np.ones(sub.shape, dtype=bool), k=1)
-        vals = sub[tri]
-        if vals.size:
-            M = max(M, float(np.max(vals)))
-    sre, sim = [], []
-    bsum = 0.0
-    neff = 0
-    for i in range(n - 2):
-        row = Q[i, i + 1:]
-        sub = B2[i + 1:, i + 1:] + (A[i] + row[:, None] + row[None, :])
-        tri = np.triu(np.ones(sub.shape, dtype=bool), k=1)
-        W = np.exp(sub[tri] - M)
-        aw = np.abs(W)
-        neff += int(np.count_nonzero(aw > _NOISE_FLOOR))
-        if i == 0:
-            bsum += float(np.sum(aw))
-        else:
-            edge = np.abs(np.exp(sub[:-1, -1] - M))
-            bsum += float(np.sum(edge))
-        sre.append(math.fsum(W.real.tolist()))
-        sim.append(math.fsum(W.imag.tolist()))
-    S = math.fsum(sre) + 1j * math.fsum(sim)
-    return M, S, bsum, neff
+    k = np.arange(m)
+    E = A[:, None] + np.outer(y, (2 * k - m + 1) * (math.pi / h))
+    log_scale = E.real.max(axis=0)
+    G = np.exp(E - log_scale)
+    F = (y / T)[:, None] ** k
+    return F, G, F.T @ G, log_scale
 
 
 def eval_mb(
@@ -218,27 +180,27 @@ def eval_mb(
     c.validate_for(s)
     m, h = s.m, s.hbar
 
-    M, S, bsum, neff = _wedge_reduce(s, c)
-    if S == 0:
-        value = LogComplex.zero()
-    else:
-        value = LogComplex.from_log(complex(M + math.log(abs(S)), math.atan2(S.imag, S.real)))
-        value = value * LogComplex.from_real(float(math.factorial(m)))
+    F, G, M, log_scale = _moments(s, c)
+    sign, logdet = np.linalg.slogdet(M)
+    if sign == 0:
+        return MBResult(LogComplex.zero(), math.inf, c)
+    pairs = m * (m - 1) // 2
+    log_mag = (logdet + float(log_scale.sum()) + math.lgamma(m + 1)
+               + pairs * math.log(c.half_extent / (2.0 * math.pi * h)))
+    value = LogComplex(log_mag, float(np.angle(sign)))
 
-    if value.is_zero:
-        return MBResult(value, math.inf, c)
-
-    # peak-to-value log ratio of the rescaled sum (oscillatory cancellation)
-    peak_excess = M + math.log(math.factorial(m)) - value.log_mag
-    amp = max(0.0, peak_excess)
-    # truncation: boundary magnitude sum, extended over ~2 hbar of further decay
-    tail_rel = bsum * (2.0 * h / c.step) * math.exp(min(700.0, peak_excess))
+    # leverage of node y: removing it scales det M by 1 - lev(y); sum(lev) = m
+    lev = np.abs(np.einsum("yk,ky->y", G, np.linalg.solve(M, F.T)))
+    lev_sum = float(lev.sum())
+    amp = max(0.0, math.log(lev_sum / m))
+    # truncation: end-node leverage, extended over ~2 hbar of further decay
+    tail_rel = float(lev[0] + lev[-1]) * (2.0 * h / c.step)
     # aliasing: analyticity margin d, oscillation |x|/h, pair-measure growth pi(m-1)/h
     d = min(c.epsilon - s.lam_max, h)
     alias_log = -(2 * math.pi / c.step) * d + (abs(s.x) / h + math.pi * (m - 1) / h) * d
     alias_rel = 300.0 * math.exp(max(-700.0, alias_log + 0.5 * amp))
-    # round-off noise of the rescaled compensated sum
-    noise_rel = 2e-16 * math.sqrt(max(neff, 1)) * math.exp(min(700.0, amp))
+    # round-off of the moment sums, amplified by cancellation between nodes
+    noise_rel = 2e-16 * math.sqrt(c.nodes_per_dim) * lev_sum
     err = tail_rel + alias_rel + noise_rel
 
     if max_rel_err is not None and err > max_rel_err:
@@ -278,6 +240,13 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
         raise ConfigError(f"tol must be > 0, got {tol}")
     s.require_quad_dim()
     m, h = s.m, s.hbar
+    if s.N < 2 * m - 1:
+        # |y_i| -> inf: the numerators decay like e^{-N pi |y| / (2 hbar)}, the
+        # pair measure grows like e^{(m-1) pi |y| / hbar}
+        raise QuadratureError(
+            f"the contour integrand decays too slowly for (m, N) = ({m}, {s.N}); "
+            "the vertical contour needs N >= 2m-1"
+        )
     eps = s.lam_max + _contour_offset(s)
 
     T = 2.0 * h
@@ -285,7 +254,7 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
         if T > 200.0 * h * s.N:
             raise QuadratureError(
                 f"no contour truncation below T = {T:.3g} reached boundary decay {tol:g}; "
-                "the integrand decays too slowly (check m < N and the instance scale)"
+                "the integrand decays too slowly (check the instance scale)"
             )
         y = np.linspace(-T, T, _PROBE_NODES)
         A = _numerator_log(s, eps, y).real

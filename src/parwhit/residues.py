@@ -76,7 +76,7 @@ class SeriesConfig:
 @dataclass(frozen=True)
 class SeriesResult:
     value: LogComplex
-    tail_estimate: float          # |last order partial sum| / |value|
+    tail_estimate: float          # |last order partial sum| / |value| + round-off floor
     orders_summed: int
 
 
@@ -163,11 +163,15 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
     last_rel = math.inf
     small_streak = 0
     orders = 0
+    n_terms = 0
+    peak = -math.inf
     for order in range(cfg.max_order + 1):
         terms = []
         for js in itertools.permutations(range(1, s.N + 1), m):
             for ns in _compositions(order, m):
                 terms.append(residue_term(PoleAssignment(j=js, n=ns), s))
+        n_terms += len(terms)
+        peak = max(peak, max(t.log_mag for t in terms))
         osum = rescaled_sum(terms)
         running.append(osum)
         total = rescaled_sum(running)
@@ -180,4 +184,8 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
                     break
             else:
                 small_streak = 0
-    return SeriesResult(value=total, tail_estimate=last_rel, orders_summed=orders)
+    # round-off: a term e^L computed from its log carries a relative error of
+    # about eps * (1 + |L|); n_terms of them at up to the peak magnitude
+    noise = 0.0 if total.is_zero else 2e-16 * math.sqrt(n_terms) * (1.0 + abs(peak)) * math.exp(
+        min(700.0, peak - total.log_mag))
+    return SeriesResult(value=total, tail_estimate=last_rel + noise, orders_summed=orders)

@@ -15,7 +15,7 @@ __all__ = ["SpectralData", "ContourConfig", "GENERICITY_MARGIN"]
 #: minimal distance of lambda_i - lambda_j from hbar*Z, in units of hbar
 GENERICITY_MARGIN = 1e-6
 
-#: largest quadrature dimension supported by the tensor-product grid
+#: largest quadrature dimension supported by the 33^m contour probe of auto_contour
 MAX_QUAD_DIM = 3
 
 
@@ -78,7 +78,7 @@ class SpectralData:
     def require_quad_dim(self) -> None:
         if self.m > MAX_QUAD_DIM:
             raise DeskScaleError(
-                f"m = {self.m} exceeds the desk-scale limit ({MAX_QUAD_DIM}) for tensor-product quadrature"
+                f"m = {self.m} exceeds the desk-scale limit ({MAX_QUAD_DIM}) of the quadrature contour probe"
             )
 
 

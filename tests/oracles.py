@@ -2,11 +2,15 @@
 
 These deliberately avoid the library's own gamma/quadrature machinery:
 k0_series is the textbook convergent expansion of the modified Bessel
-function; homogeneous_poly enumerates monomials directly.
+function; homogeneous_poly enumerates monomials directly; tensor_trapezoid
+sums the Mellin-Barnes integrand node by node over the full n^m grid.
 """
 
 import itertools
 import math
+
+import numpy as np
+from scipy.special import loggamma
 
 
 def k0_series(z: float, terms: int = 120) -> float:
@@ -44,4 +48,66 @@ BESSEL_REFERENCE = {
     -2.0: 1.2485966466549918,
     0.0: 0.2277877454990671,
     1.0: 0.04936529700560932,
+}
+
+
+def tensor_trapezoid(m, lam, hbar, x, epsilon, half_extent, nodes) -> complex:
+    """Log of the m-fold trapezoid sum of the MB integrand on (i[-T, T] + epsilon)^m.
+
+    Brute force over all n^m nodes, straight from the definition: the
+    one-variable factors and every pair factor 1/gamma1(gamma_i - gamma_k)
+    are added in log space, rescaled by the peak and summed with fsum.
+    Meant for small n and m only.
+    """
+    def log_gamma1(z):
+        return (z / hbar) * math.log(hbar) + loggamma(z / hbar)
+
+    y = np.linspace(-half_extent, half_extent, nodes)
+    logw = np.full(nodes, math.log(y[1] - y[0]))
+    logw[[0, -1]] -= math.log(2.0)
+    g = epsilon + 1j * y
+    one = logw - math.log(2.0 * math.pi) - (x / hbar) * g
+    for lam_j in lam:
+        one = one + log_gamma1(g - lam_j)
+    eye = np.eye(nodes, dtype=bool)
+    pair = -log_gamma1(np.where(eye, 1.0, 1j * (y[:, None] - y[None, :])))
+    pair[eye] = -np.inf                     # coincident nodes: the measure vanishes
+
+    L = np.zeros((nodes,) * m, dtype=complex)
+    for i in range(m):
+        shape = [1] * m
+        shape[i] = nodes
+        L = L + one.reshape(shape)
+        for k in range(m):
+            if k != i:
+                shape = [1] * m
+                shape[i] = shape[k] = nodes
+                L = L + (pair if i < k else pair.T).reshape(shape)
+    peak = float(np.max(L.real))
+    W = np.exp(L - peak).ravel()
+    return peak + np.log(math.fsum(W.real) + 1j * math.fsum(W.imag))
+
+
+#: spectra of the frozen quadrature references below (hbar = 1)
+MB_SPECTRA = {
+    (2, 5): (1.17, 0.55, -0.02, -0.73, -1.38),
+    (3, 5): (0.62, 0.31, 0.0, -0.33, -0.67),
+    (3, 6): (1.31, 0.86, 0.37, -0.08, -0.61, -1.17),
+}
+
+#: Psi at (m, N, x), hbar = 1, frozen from the certified mpmath Andréief
+#: pole sum of perfbench/reference.py (agreement to 1e-14 at doubled precision)
+MB_REFERENCE = {
+    (2, 5, -5.0): 14634.939056792524,
+    (2, 5, -2.0): 43.65210608891031,
+    (2, 5, 0.0): 0.45959703430216575,
+    (2, 5, 3.0): 5.5746494924943074e-05,
+    (3, 5, -5.0): 809.8971253367123,
+    (3, 5, -2.0): 8.892135182314759,
+    (3, 5, 0.0): 0.16819753478356425,
+    (3, 5, 3.0): 3.3762880930929094e-05,
+    (3, 6, -5.0): 2093368.2817073003,
+    (3, 6, -2.0): 336.7958060949221,
+    (3, 6, 0.0): 0.4395338515864435,
+    (3, 6, 3.0): 2.159246685022924e-06,
 }

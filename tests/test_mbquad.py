@@ -7,7 +7,8 @@ from parwhit import (ContourConfig, SpectralData, auto_contour, eval_mb,
                      integrand)
 from parwhit.errors import ConfigError, DeskScaleError, PoleError
 
-from oracles import BESSEL_REFERENCE, k0_series
+from oracles import (BESSEL_REFERENCE, MB_REFERENCE, MB_SPECTRA, k0_series,
+                     tensor_trapezoid)
 
 
 def bessel_instance(x=0.0):
@@ -141,14 +142,42 @@ class TestEvalMB:
             eval_mb(s, ContourConfig(epsilon=1.0, half_extent=8.0, nodes_per_dim=17))
 
 
+class TestAndreiefReduction:
+    @pytest.mark.parametrize("x", [-3.0, 0.0, 2.0])
+    @pytest.mark.parametrize("m,N,lam,hbar", [
+        (1, 3, (0.7, 0.0, -0.9), 1.0),
+        (2, 4, (0.9, 0.4, -0.3, -1.15), 1.0),
+        (2, 5, (1.17, 0.55, -0.02, -0.73, -1.38), 0.7),
+        (3, 5, (0.62, 0.31, 0.0, -0.33, -0.67), 1.0),
+    ])
+    def test_determinant_equals_tensor_sum(self, m, N, lam, hbar, x):
+        # the discrete Andreief identity: same nodes, same sum, no tensor grid
+        s = SpectralData(m=m, N=N, lam=lam, hbar=hbar, x=x)
+        c = ContourConfig(epsilon=max(lam) + 0.6 * hbar, half_extent=18.0 * hbar / 4,
+                          nodes_per_dim=41)
+        got = eval_mb(s, c, max_rel_err=None).value
+        want = tensor_trapezoid(m, lam, hbar, x, c.epsilon, c.half_extent, c.nodes_per_dim)
+        rel = abs(np.expm1(complex(got.log_mag, got.phase) - want))
+        assert rel <= 1e-12
+
+    @pytest.mark.parametrize("m,N,x", sorted(MB_REFERENCE))
+    def test_frozen_reference_values(self, m, N, x):
+        s = SpectralData(m=m, N=N, lam=MB_SPECTRA[(m, N)], hbar=1.0, x=x)
+        r = eval_mb(s, auto_contour(s, 1e-9))
+        ref = MB_REFERENCE[(m, N, x)]
+        err = abs(r.value.to_complex() - ref) / abs(ref)
+        assert err <= 1e-8
+        assert r.error_estimate >= err
+
+
 class TestTruncationCap:
     def test_slowly_decaying_instance_reports_diagnostic(self):
-        # at m = N-1 >= 3 the pair-measure growth cancels the numerator decay,
+        # for N <= 2m-2 the pair-measure growth outruns the numerator decay,
         # so no truncation satisfies the boundary criterion; the search must
-        # give up with a diagnostic rather than return a bogus contour
+        # refuse with a diagnostic rather than return a bogus contour
         from parwhit.errors import QuadratureError
         s = SpectralData(m=3, N=4, lam=(0.9, 0.3, -0.4, -1.05), hbar=1.0, x=-1.0)
-        with pytest.raises(QuadratureError, match="decays too slowly"):
+        with pytest.raises(QuadratureError, match="decays too slowly.*N >= 2m-1"):
             auto_contour(s, 1e-9)
 
 
