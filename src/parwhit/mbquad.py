@@ -189,7 +189,7 @@ def eval_mb(
                + pairs * math.log(c.half_extent / (2.0 * math.pi * h)))
     value = LogComplex(log_mag, float(np.angle(sign)))
 
-    # leverage of node y: removing it scales det M by 1 - lev(y); sum(lev) = m
+    # removing node y scales det M by 1 - G[y] M^-1 F[y]; these leverages sum to m
     lev = np.abs(np.einsum("yk,ky->y", G, np.linalg.solve(M, F.T)))
     lev_sum = float(lev.sum())
     amp = max(0.0, math.log(lev_sum / m))

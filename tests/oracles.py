@@ -88,8 +88,8 @@ def tensor_trapezoid(m, lam, hbar, x, epsilon, half_extent, nodes) -> complex:
     return peak + np.log(math.fsum(W.real) + 1j * math.fsum(W.imag))
 
 
-#: spectra of the frozen quadrature references below (hbar = 1)
-MB_SPECTRA = {
+#: spectra of the frozen references below (hbar = 1)
+PSI_SPECTRA = {
     (2, 5): (1.17, 0.55, -0.02, -0.73, -1.38),
     (3, 5): (0.62, 0.31, 0.0, -0.33, -0.67),
     (3, 6): (1.31, 0.86, 0.37, -0.08, -0.61, -1.17),
@@ -97,7 +97,7 @@ MB_SPECTRA = {
 
 #: Psi at (m, N, x), hbar = 1, frozen from the certified mpmath Andréief
 #: pole sum of perfbench/reference.py (agreement to 1e-14 at doubled precision)
-MB_REFERENCE = {
+PSI_REFERENCE = {
     (2, 5, -5.0): 14634.939056792524,
     (2, 5, -2.0): 43.65210608891031,
     (2, 5, 0.0): 0.45959703430216575,
@@ -107,6 +107,7 @@ MB_REFERENCE = {
     (3, 5, 0.0): 0.16819753478356425,
     (3, 5, 3.0): 3.3762880930929094e-05,
     (3, 6, -5.0): 2093368.2817073003,
+    (3, 6, -1.0): 13.588617501752794,
     (3, 6, -2.0): 336.7958060949221,
     (3, 6, 0.0): 0.4395338515864435,
     (3, 6, 3.0): 2.159246685022924e-06,

@@ -7,7 +7,7 @@ from parwhit import (ContourConfig, SpectralData, auto_contour, eval_mb,
                      integrand)
 from parwhit.errors import ConfigError, DeskScaleError, PoleError
 
-from oracles import (BESSEL_REFERENCE, MB_REFERENCE, MB_SPECTRA, k0_series,
+from oracles import (BESSEL_REFERENCE, PSI_REFERENCE, PSI_SPECTRA, k0_series,
                      tensor_trapezoid)
 
 
@@ -153,18 +153,18 @@ class TestAndreiefReduction:
     def test_determinant_equals_tensor_sum(self, m, N, lam, hbar, x):
         # the discrete Andreief identity: same nodes, same sum, no tensor grid
         s = SpectralData(m=m, N=N, lam=lam, hbar=hbar, x=x)
-        c = ContourConfig(epsilon=max(lam) + 0.6 * hbar, half_extent=18.0 * hbar / 4,
+        c = ContourConfig(epsilon=max(lam) + 0.6 * hbar, half_extent=4.5 * hbar,
                           nodes_per_dim=41)
         got = eval_mb(s, c, max_rel_err=None).value
         want = tensor_trapezoid(m, lam, hbar, x, c.epsilon, c.half_extent, c.nodes_per_dim)
         rel = abs(np.expm1(complex(got.log_mag, got.phase) - want))
         assert rel <= 1e-12
 
-    @pytest.mark.parametrize("m,N,x", sorted(MB_REFERENCE))
+    @pytest.mark.parametrize("m,N,x", sorted(PSI_REFERENCE))
     def test_frozen_reference_values(self, m, N, x):
-        s = SpectralData(m=m, N=N, lam=MB_SPECTRA[(m, N)], hbar=1.0, x=x)
+        s = SpectralData(m=m, N=N, lam=PSI_SPECTRA[(m, N)], hbar=1.0, x=x)
         r = eval_mb(s, auto_contour(s, 1e-9))
-        ref = MB_REFERENCE[(m, N, x)]
+        ref = PSI_REFERENCE[(m, N, x)]
         err = abs(r.value.to_complex() - ref) / abs(ref)
         assert err <= 1e-8
         assert r.error_estimate >= err

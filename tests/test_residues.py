@@ -9,6 +9,8 @@ from parwhit import (PoleAssignment, SeriesConfig, SpectralData, auto_contour,
 from parwhit.errors import ConfigError, DomainError, GenericityError
 from parwhit.logcomplex import rescaled_sum
 
+from oracles import PSI_REFERENCE, PSI_SPECTRA
+
 
 def make(m, N, lam, hbar=1.0, x=-3.0):
     return SpectralData(m=m, N=N, lam=lam, hbar=hbar, x=x)
@@ -124,6 +126,15 @@ class TestSeries:
         res = eval_residue_series(s)
         assert res.tail_estimate <= 1e-10
         assert res.orders_summed >= 4
+
+    def test_tail_estimate_covers_round_off(self):
+        # at x = -1 the (3,6) terms peak 1e5 above the sum; the error is
+        # round-off, not truncation, and the estimate must still bound it
+        s = make(3, 6, PSI_SPECTRA[(3, 6)], x=-1.0)
+        res = eval_residue_series(s)
+        ref = PSI_REFERENCE[(3, 6, -1.0)]
+        err = abs(res.value.to_complex() - ref) / ref
+        assert err <= res.tail_estimate <= 100 * err
 
     def test_series_config_caps(self):
         with pytest.raises(ConfigError):
