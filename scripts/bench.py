@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Collect the benchmark's end-to-end metrics into BENCH_<pr>.json.
 
-Runs `perfbench/run.py --trace 0` for every workload of BENCHMARK.json over
-a fixed seed set and writes, per workload, the median, q1 and q3 of each
-end-to-end metric, the share of failed operations, the commit and `nproc`.
+Runs `perfbench/run.py --trace 0` for every workload of BENCHMARK.json, for
+its `run_seconds`, over the fixed seeds 801-810, and writes, per workload,
+the median, q1 and q3 of each end-to-end metric, the share of failed
+operations, the commit and `nproc` to BENCH_<pr>.json at the checkout root.
 With --baseline, the same runs are made in a second checkout (the parent
 commit), in pairs whose order alternates from seed to seed, and both sides
 go into the file.
 
     python3 scripts/bench.py --pr 6 --baseline ../parent
-    python3 scripts/bench.py --pr 6 --workloads quad --seeds 801-803 --seconds 8
 
 Run it from the root of a checkout; nothing else should load the machine
 while it runs.
@@ -26,11 +26,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _seeds(spec: str) -> list[int]:
-    lo, _, hi = spec.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = range(801, 811)
 
 
 def _commit(checkout: str) -> str:
@@ -58,7 +54,7 @@ def summarize(runs: list[dict], metric_names: list[str]) -> dict:
            "metrics": {}}
     for name in metric_names:
         vals = sorted(r["metrics"][name]["value"] for r in runs)
-        q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive") if len(vals) > 1 else vals * 3
+        q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
         out["metrics"][name] = {"median": med, "q1": q1, "q3": q3,
                                 "unit": runs[0]["metrics"][name]["unit"], "values": vals}
     return out
@@ -70,33 +66,29 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the output file name")
     p.add_argument("--baseline", help="checkout of the parent commit to run in pairs")
-    p.add_argument("--seeds", default="801-810", help="seed range lo-hi (inclusive)")
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    p.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    p.add_argument("--out", help="output path (default BENCH_<pr>.json at the checkout root)")
     a = p.parse_args(argv)
 
     sides = {"change": ROOT}
     if a.baseline:
         sides["parent"] = os.path.abspath(a.baseline)
     names = [m["name"] for m in bench["end_to_end"]]
-    seeds = _seeds(a.seeds)
-    result = {"pr": a.pr, "seeds": seeds, "seconds": a.seconds,
+    seconds = bench["run_seconds"]
+    result = {"pr": a.pr, "seeds": list(SEEDS), "seconds": seconds,
               "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
               "sides": {side: {"commit": _commit(path), "workloads": {}} for side, path in sides.items()}}
-    for workload in a.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {side: [] for side in sides}
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
-                r = run_once(sides[side], workload, seed, a.seconds)
+                r = run_once(sides[side], workload, seed, seconds)
                 runs[side].append(r)
                 wall = r["metrics"]["wall_s"]["value"]
                 print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}", file=sys.stderr, flush=True)
         for side in sides:
             result["sides"][side]["workloads"][workload] = summarize(runs[side], names)
 
-    path = a.out or os.path.join(ROOT, f"BENCH_{a.pr}.json")
+    path = os.path.join(ROOT, f"BENCH_{a.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

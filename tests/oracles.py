@@ -51,13 +51,15 @@ BESSEL_REFERENCE = {
 }
 
 
-def tensor_trapezoid(m, lam, hbar, x, epsilon, half_extent, nodes) -> complex:
+def tensor_trapezoid(m, lam, hbar, x, epsilon, half_extent, nodes) -> tuple[complex, float]:
     """Log of the m-fold trapezoid sum of the MB integrand on (i[-T, T] + epsilon)^m.
 
     Brute force over all n^m nodes, straight from the definition: the
     one-variable factors and every pair factor 1/gamma1(gamma_i - gamma_k)
     are added in log space, rescaled by the peak and summed with fsum.
-    Meant for small n and m only.
+    Also returns the cancellation ratio sum|W| / |sum W| of the terms, which
+    scales the round-off of any evaluation of the same sum.  Meant for small
+    n and m only.
     """
     def log_gamma1(z):
         return (z / hbar) * math.log(hbar) + loggamma(z / hbar)
@@ -85,7 +87,8 @@ def tensor_trapezoid(m, lam, hbar, x, epsilon, half_extent, nodes) -> complex:
                 L = L + (pair if i < k else pair.T).reshape(shape)
     peak = float(np.max(L.real))
     W = np.exp(L - peak).ravel()
-    return peak + np.log(math.fsum(W.real) + 1j * math.fsum(W.imag))
+    total = math.fsum(W.real) + 1j * math.fsum(W.imag)
+    return peak + np.log(total), math.fsum(np.abs(W)) / abs(total)
 
 
 #: spectra of the frozen references below (hbar = 1)

@@ -156,9 +156,11 @@ class TestAndreiefReduction:
         c = ContourConfig(epsilon=max(lam) + 0.6 * hbar, half_extent=4.5 * hbar,
                           nodes_per_dim=41)
         got = eval_mb(s, c, max_rel_err=None).value
-        want = tensor_trapezoid(m, lam, hbar, x, c.epsilon, c.half_extent, c.nodes_per_dim)
+        want, cancel = tensor_trapezoid(m, lam, hbar, x, c.epsilon, c.half_extent,
+                                        c.nodes_per_dim)
         rel = abs(np.expm1(complex(got.log_mag, got.phase) - want))
-        assert rel <= 1e-12
+        # where the terms cancel, both sides lose digits in proportion
+        assert rel <= max(1e-12, 100 * 1e-16 * cancel)
 
     @pytest.mark.parametrize("m,N,x", sorted(PSI_REFERENCE))
     def test_frozen_reference_values(self, m, N, x):
