@@ -158,6 +158,7 @@ class ResultRecord:
     error_estimate: float
     wall_time: float
     library_version: str = __version__
+    diagnostics: dict = dataclasses.field(default_factory=dict)   # how the value was obtained
 
     def to_dict(self) -> dict:
         return {
@@ -167,18 +168,32 @@ class ResultRecord:
             "error_estimate": self.error_estimate,
             "wall_time": self.wall_time,
             "library_version": self.library_version,
+            "diagnostics": self.diagnostics,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
         return cls(inputs=d["inputs"], method=d["method"], value=d["value"],
                    error_estimate=d["error_estimate"], wall_time=d["wall_time"],
-                   library_version=d["library_version"])
+                   library_version=d["library_version"],
+                   diagnostics=d.get("diagnostics", {}))
 
 
 def _inputs_echo(cfg: RunConfig, s: SpectralData) -> dict:
     return {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x,
             "method": cfg.method, "seed": cfg.seed}
+
+
+def _series_record(cfg: RunConfig, s: SpectralData) -> tuple[ResultRecord, LogComplex]:
+    t0 = time.perf_counter()
+    res = eval_residue_series(s, SeriesConfig(max_order=cfg.max_order, tol=cfg.series_tol))
+    dt = time.perf_counter() - t0
+    rec = ResultRecord(
+        inputs=_inputs_echo(cfg, s), method="residue",
+        value=_value_payload(res.value), error_estimate=res.tail_estimate, wall_time=dt,
+        diagnostics={"orders_summed": res.orders_summed, "terms": res.terms},
+    )
+    return rec, res.value
 
 
 def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
@@ -204,15 +219,8 @@ def _eval_methods(cfg: RunConfig, s: SpectralData) -> tuple[list[ResultRecord], 
             wall_time=dt,
         ))
     if cfg.method in ("residue", "both"):
-        t0 = time.perf_counter()
-        res = eval_residue_series(s, SeriesConfig(max_order=cfg.max_order, tol=cfg.series_tol))
-        dt = time.perf_counter() - t0
-        values["residue"] = res.value
-        records.append(ResultRecord(
-            inputs=_inputs_echo(cfg, s), method="residue",
-            value=_value_payload(res.value), error_estimate=res.tail_estimate,
-            wall_time=dt,
-        ))
+        rec, values["residue"] = _series_record(cfg, s)
+        records.append(rec)
     disc = None
     if len(values) == 2:
         disc = _rel_discrepancy(values["mb"], values["residue"])
@@ -249,11 +257,8 @@ def cmd_xval(cfg: RunConfig) -> dict:
     records.append(ResultRecord(_inputs_echo(cfg, s), "mb", _value_payload(mb.value),
                                 mb.error_estimate, time.perf_counter() - t0))
     if s.x < 0:
-        t0 = time.perf_counter()
-        rs = eval_residue_series(s, SeriesConfig(max_order=cfg.max_order, tol=cfg.series_tol))
-        values["residue"] = rs.value
-        records.append(ResultRecord(_inputs_echo(cfg, s), "residue", _value_payload(rs.value),
-                                    rs.tail_estimate, time.perf_counter() - t0))
+        rec, values["residue"] = _series_record(cfg, s)
+        records.append(rec)
     t0 = time.perf_counter()
     asym = leading_asymptotic(s)
     values["asymptotic"] = asym

@@ -13,9 +13,29 @@ point factorizes as
                    / gamma1(lambda_{j_k} - lambda_{j_l} - (n_k - n_l) hbar)
 
 validated termwise against the quadrature evaluator (which is the oracle for
-the per-variable residue factor hbar^(1-n) (-1)^n / n!).  Order-n terms carry
-e^{x n}, so the series is summed by increasing total order with geometric
-tail control; it is only offered for x < 0.
+the per-variable residue factor hbar^(1-n) (-1)^n / n!).  residue_term
+evaluates this one pole at a time and is the termwise oracle.
+
+Every gamma1 argument is lambda_a - lambda_b - t hbar with integer
+|t| <= K = max_order, so eval_residue_series builds two tables once per call:
+
+    L[a, b, K + t] = log gamma1(lambda_a - lambda_b - t hbar),   a != b,
+    P[a, n]        = -(x/hbar)(lambda_a - n hbar) + (1 - n) log hbar
+                     - log n! + i pi n + sum_{b != a} L[a, b, K + n],
+
+the pair table from one vectorised loggamma call, the pole table of size
+N x (K + 1) from its rows.  P already holds the first two gamma1 products
+above, so a term is
+
+    log term(j, n) = sum_k P[j_k, n_k] - sum_{k != l} L[j_k, j_l, K + n_k - n_l].
+
+Order-n terms carry e^{x n}, so the series is summed by increasing total
+order with geometric tail control; it is only offered for x < 0.  Each order
+is one numpy block over the permutations x compositions index arrays of
+_order_blocks (m^2 table gathers), exponentiated against the block maximum
+and summed with math.fsum.  lambda is sorted once, after the genericity
+check has named any offending pair in the caller's labels, so relabeled
+lambda give bit-identical tables and values.
 """
 
 from __future__ import annotations
@@ -78,15 +98,25 @@ class SeriesResult:
     value: LogComplex
     tail_estimate: float          # |last order partial sum| / |value| + round-off floor
     orders_summed: int
+    terms: int                    # pole terms summed over those orders
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _order_blocks(N: int, m: int, max_order: int):
+    """Yield (order, perms, comps) for order = 0, 1, ..., max_order.
+
+    perms is the (N!/(N-m)!, m) array of ordered m-tuples of distinct 0-based
+    lambda indices, comps the (C(order+m-1, m-1), m) array of compositions of
+    order into m nonnegative parts (read off the m-1 bar positions of each
+    stars-and-bars combination); both in lexicographic order.  The terms of
+    one order are the pairs (perms[p], comps[c]).
+    """
+    perms = np.array(list(itertools.permutations(range(N), m)), dtype=np.intp)
+    for order in range(max_order + 1):
+        bars = np.array(list(itertools.combinations(range(order + m - 1), m - 1)),
+                        dtype=np.intp, ndmin=2)
+        ends = np.ones((len(bars), 1), dtype=np.intp)
+        edges = np.hstack([-ends, bars, (order + m - 1) * ends])
+        yield order, perms, np.diff(edges, axis=1) - 1
 
 
 def enumerate_terms(s: SpectralData, cfg: SeriesConfig) -> list[PoleAssignment]:
@@ -96,13 +126,9 @@ def enumerate_terms(s: SpectralData, cfg: SeriesConfig) -> list[PoleAssignment]:
     per order is m! * C(N, m) * (#compositions of the order into m parts).
     """
     s.require_generic()
-    out = []
-    for order in range(cfg.max_order + 1):
-        for js in itertools.permutations(range(1, s.N + 1), s.m):
-            for ns in _compositions(order, s.m):
-                out.append(PoleAssignment(j=js, n=ns))
-    out.sort(key=lambda a: (a.order, a.j, a.n))
-    return out
+    return [PoleAssignment(j=tuple(k + 1 for k in js), n=tuple(ns))
+            for _, perms, comps in _order_blocks(s.N, s.m, cfg.max_order)
+            for js in perms.tolist() for ns in comps.tolist()]
 
 
 def residue_term(a: PoleAssignment, s: SpectralData) -> LogComplex:
@@ -157,7 +183,22 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
         raise DomainError(f"residue series requires x < 0, got x = {s.x}")
     s.require_generic()
 
-    m = s.m
+    m, N, h, K = s.m, s.N, s.hbar, cfg.max_order
+    # canonical labels: relabeled lambda give bit-identical tables and sums
+    lam = np.sort(s.lam_array)
+    log_h = math.log(h)
+    # pair table L[a, b, K + t] = log gamma1(lambda_a - lambda_b - t hbar), a != b
+    a, b = np.nonzero(~np.eye(N, dtype=bool))
+    w = (((lam[a] - lam[b])[:, None] - np.arange(-K, K + 1) * h) / h).astype(complex)
+    L = np.zeros((N, N, 2 * K + 1), dtype=complex)
+    L[a, b] = w * log_h + _loggamma(w)
+    # pole table P[a, n]: the one-variable residue at lambda_a - n hbar times
+    # prod_{b != a} gamma1(lambda_a - lambda_b - n hbar)
+    n = np.arange(K + 1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(K + 1)])
+    P = (-(s.x / h) * (lam[:, None] - n * h) + (1 - n) * log_h - log_fact + 1j * math.pi * n
+         + L[:, :, K:].sum(axis=1))
+
     running: list[LogComplex] = []
     total = LogComplex.zero()
     last_rel = math.inf
@@ -165,14 +206,22 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
     orders = 0
     n_terms = 0
     peak = -math.inf
-    for order in range(cfg.max_order + 1):
-        terms = []
-        for js in itertools.permutations(range(1, s.N + 1), m):
-            for ns in _compositions(order, m):
-                terms.append(residue_term(PoleAssignment(j=js, n=ns), s))
-        n_terms += len(terms)
-        peak = max(peak, max(t.log_mag for t in terms))
-        osum = rescaled_sum(terms)
+    for order, perms, comps in _order_blocks(N, m, K):
+        # log term(j, n) = sum_k P[j_k, n_k] - sum_{k != l} L[j_k, j_l, K + n_k - n_l]
+        lg = np.zeros((len(perms), len(comps)), dtype=complex)
+        for k in range(m):
+            jk, nk = perms[:, k, None], comps[None, :, k]
+            lg += P[jk, nk]
+            for l in range(m):
+                if l != k:
+                    lg -= L[jk, perms[:, l, None], K + nk - comps[None, :, l]]
+        top = float(lg.real.max())
+        e = np.exp(lg - top)
+        re, im = math.fsum(e.real.ravel().tolist()), math.fsum(e.imag.ravel().tolist())
+        mag = math.hypot(re, im)
+        osum = LogComplex(top + math.log(mag), math.atan2(im, re)) if mag > 0.0 else LogComplex.zero()
+        n_terms += lg.size
+        peak = max(peak, top)
         running.append(osum)
         total = rescaled_sum(running)
         orders = order + 1
@@ -188,4 +237,5 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
     # about eps * (1 + |L|); n_terms of them at up to the peak magnitude
     noise = 0.0 if total.is_zero else 2e-16 * math.sqrt(n_terms) * (1.0 + abs(peak)) * math.exp(
         min(700.0, peak - total.log_mag))
-    return SeriesResult(value=total, tail_estimate=last_rel + noise, orders_summed=orders)
+    return SeriesResult(value=total, tail_estimate=last_rel + noise, orders_summed=orders,
+                        terms=n_terms)

@@ -96,6 +96,9 @@ PSI_SPECTRA = {
     (2, 5): (1.17, 0.55, -0.02, -0.73, -1.38),
     (3, 5): (0.62, 0.31, 0.0, -0.33, -0.67),
     (3, 6): (1.31, 0.86, 0.37, -0.08, -0.61, -1.17),
+    (3, 4): (0.9, 0.4, -0.3, -1.15),
+    (4, 5): (1.17, 0.55, -0.02, -0.73, -1.38),
+    (4, 6): (1.31, 0.86, 0.37, -0.08, -0.61, -1.17),
 }
 
 #: Psi at (m, N, x), hbar = 1, frozen from the certified mpmath Andréief
@@ -114,4 +117,12 @@ PSI_REFERENCE = {
     (3, 6, -2.0): 336.7958060949221,
     (3, 6, 0.0): 0.4395338515864435,
     (3, 6, 3.0): 2.159246685022924e-06,
+    (3, 4, -3.0): 101.10874987189849149,
+    (4, 5, -4.0): 1680.769557131857911,
+    (4, 6, -3.0): 28067.018585169468154,
 }
+
+
+def quad_serves(m: int, N: int) -> bool:
+    """Whether the contour quadrature covers the shape (33^m probe, N >= 2m - 1)."""
+    return m <= 3 and N >= 2 * m - 1

@@ -19,7 +19,7 @@ from parwhit.gz import (combin1, combin2, verify_left_whittaker,
                         verify_right_support_relations)
 from parwhit.gz.identity import check_brackets, check_build_EnN
 from parwhit.logcomplex import rescaled_sum
-from parwhit.residues import PoleAssignment, _compositions, residue_term
+from parwhit.residues import PoleAssignment, residue_term
 
 from oracles import BESSEL_REFERENCE, k0_series
 

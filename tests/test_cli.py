@@ -47,6 +47,22 @@ class TestResultRecord:
         blob = json.dumps(rec.to_dict(), sort_keys=True)
         assert ResultRecord.from_dict(json.loads(blob)) == rec
 
+    def test_diagnostics_roundtrip_and_optional(self):
+        rec = ResultRecord(
+            inputs={"m": 1, "N": 3, "lambda": [0.7, 0.0, -0.9], "hbar": 1.0, "x": -3.0,
+                    "method": "residue", "seed": 7},
+            method="residue",
+            value={"log_mag": 1.25, "phase": 0.0, "re": 3.4903429574618414, "im": 0.0},
+            error_estimate=1e-15,
+            wall_time=0.001,
+            diagnostics={"orders_summed": 8, "terms": 24},
+        )
+        d = json.loads(json.dumps(rec.to_dict(), sort_keys=True))
+        assert ResultRecord.from_dict(d) == rec
+        # records written before the diagnostics field existed still load
+        del d["diagnostics"]
+        assert ResultRecord.from_dict(d).diagnostics == {}
+
 
 class TestEval:
     def test_bessel_value(self, capsys):
@@ -72,6 +88,19 @@ class TestEval:
         payload = json.loads(out)
         assert payload["discrepancy"] <= 1e-6
         assert len(payload["records"]) == 2
+
+    def test_residue_records_carry_series_diagnostics(self, capsys):
+        from parwhit import SpectralData, eval_residue_series
+        lam = (0.9, 0.4, -0.3, -1.15)
+        res = eval_residue_series(SpectralData(m=2, N=4, lam=lam, hbar=1.0, x=-4.0))
+        want = {"orders_summed": res.orders_summed, "terms": res.terms}
+        for command in ("eval", "xval"):
+            code, out = run(capsys, command, "--m", "2", "--N", "4",
+                            "--lambda", "0.9,0.4,-0.3,-1.15", "--x", "-4", "--method", "both")
+            assert code == EXIT_OK
+            by_method = {r["method"]: r for r in json.loads(out)["records"]}
+            assert by_method["residue"]["diagnostics"] == want
+            assert by_method["mb"]["diagnostics"] == {}
 
     def test_config_error_exit2(self, capsys):
         code, _ = run(capsys, "eval", "--m", "3", "--N", "2")

@@ -9,7 +9,7 @@ from parwhit import (PoleAssignment, SeriesConfig, SpectralData, auto_contour,
 from parwhit.errors import ConfigError, DomainError, GenericityError
 from parwhit.logcomplex import rescaled_sum
 
-from oracles import PSI_REFERENCE, PSI_SPECTRA
+from oracles import PSI_REFERENCE, PSI_SPECTRA, quad_serves
 
 
 def make(m, N, lam, hbar=1.0, x=-3.0):
@@ -99,14 +99,11 @@ class TestSeries:
     def test_order_decay_beyond_order3(self):
         # for x <= -2 hbar the per-order partial sums decay monotonically past order 3
         s = make(2, 4, (0.9, 0.4, -0.3, -1.15), x=-2.5)
-        import itertools
-        from parwhit.residues import _compositions
+        from parwhit.residues import _order_blocks
         mags = []
-        for order in range(8):
-            terms = []
-            for js in itertools.permutations(range(1, 5), 2):
-                for ns in _compositions(order, 2):
-                    terms.append(residue_term(PoleAssignment(js, ns), s))
+        for _, perms, comps in _order_blocks(4, 2, 7):
+            terms = [residue_term(PoleAssignment(tuple(k + 1 for k in js), tuple(ns)), s)
+                     for js in perms.tolist() for ns in comps.tolist()]
             mags.append(rescaled_sum(terms).log_mag)
         for k in range(3, 7):
             assert mags[k + 1] < mags[k]
@@ -137,11 +134,45 @@ class TestSeries:
         err = abs(res.value.to_complex() - ref) / ref
         assert err <= res.tail_estimate <= 1e-6
 
+    @pytest.mark.parametrize("m,N,x", sorted(k for k in PSI_REFERENCE if not quad_serves(*k[:2])))
+    def test_frozen_reference_values(self, m, N, x):
+        # shapes the contour quadrature cannot serve: m = 4, and N <= 2m - 2
+        res = eval_residue_series(make(m, N, PSI_SPECTRA[(m, N)], x=x))
+        ref = PSI_REFERENCE[(m, N, x)]
+        err = abs(res.value.to_complex() - ref) / abs(ref)
+        assert err <= 1e-10
+        assert res.tail_estimate >= err
+
     def test_series_config_caps(self):
         with pytest.raises(ConfigError):
             SeriesConfig(max_order=61)
         with pytest.raises(ConfigError):
             SeriesConfig(tol=0.0)
+
+
+class TestPoleTables:
+    @pytest.mark.parametrize("m,N,lam,hbar,x", [
+        (1, 3, (0.7, 0.0, -0.9), 1.0, -1.5),
+        (1, 3, (0.7, 0.0, -0.9), 1.0, -3.0),
+        (2, 4, (0.9, 0.4, -0.3, -1.15), 0.83, -1.5),
+        (2, 4, (0.9, 0.4, -0.3, -1.15), 0.83, -3.0),
+        (3, 5, (0.62, 0.31, 0.0, -0.33, -0.67), 0.7, -1.5),
+        (3, 5, (0.62, 0.31, 0.0, -0.33, -0.67), 0.7, -3.0),
+        (4, 5, (1.17, 0.55, -0.02, -0.73, -1.38), 1.0, -6.0),
+    ])
+    def test_tables_match_termwise_oracle(self, m, N, lam, hbar, x):
+        # the order blocks read from the pole and pair tables sum the same
+        # terms as residue_term, one pole at a time, over the same orders
+        s = make(m, N, lam, hbar=hbar, x=x)
+        res = eval_residue_series(s)
+        terms = [residue_term(a, s)
+                 for a in enumerate_terms(s, SeriesConfig(max_order=res.orders_summed - 1))]
+        assert res.terms == len(terms)
+        want = rescaled_sum(terms)
+        cancel = math.fsum(math.exp(t.log_mag - want.log_mag) for t in terms)
+        rel = abs((res.value / want).to_complex() - 1.0)
+        # where the terms cancel, both sums lose digits in proportion
+        assert rel <= max(1e-13, 100 * 1e-16 * cancel)
 
 
 class TestExtremeRegimes:
