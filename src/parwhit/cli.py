@@ -161,15 +161,7 @@ class ResultRecord:
     diagnostics: dict = dataclasses.field(default_factory=dict)   # how the value was obtained
 
     def to_dict(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "method": self.method,
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "wall_time": self.wall_time,
-            "library_version": self.library_version,
-            "diagnostics": self.diagnostics,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":

@@ -114,9 +114,7 @@ def _order_blocks(N: int, m: int, max_order: int):
     for order in range(max_order + 1):
         bars = np.array(list(itertools.combinations(range(order + m - 1), m - 1)),
                         dtype=np.intp, ndmin=2)
-        ends = np.ones((len(bars), 1), dtype=np.intp)
-        edges = np.hstack([-ends, bars, (order + m - 1) * ends])
-        yield order, perms, np.diff(edges, axis=1) - 1
+        yield order, perms, np.diff(bars, axis=1, prepend=-1, append=order + m - 1) - 1
 
 
 def enumerate_terms(s: SpectralData, cfg: SeriesConfig) -> list[PoleAssignment]:
@@ -216,8 +214,8 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
                 if l != k:
                     lg -= L[jk, perms[:, l, None], K + nk - comps[None, :, l]]
         top = float(lg.real.max())
-        e = np.exp(lg - top)
-        re, im = math.fsum(e.real.ravel().tolist()), math.fsum(e.imag.ravel().tolist())
+        e = np.exp(lg - top).ravel()
+        re, im = math.fsum(e.real.tolist()), math.fsum(e.imag.tolist())
         mag = math.hypot(re, im)
         osum = LogComplex(top + math.log(mag), math.atan2(im, re)) if mag > 0.0 else LogComplex.zero()
         n_terms += lg.size
