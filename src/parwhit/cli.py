@@ -28,7 +28,7 @@ from . import __version__
 from .asympt import leading_asymptotic
 from .errors import (ConfigError, DomainError, ParwhitError, QuadratureError,
                      VerificationError)
-from .gz.combin import combin1, combin2
+from .gz.combin import combin1, combin2, separated_nodes
 from .gz.identity import check_brackets, check_build_EnN
 from .gz.whittaker import verify_left_whittaker, verify_right_support_relations
 from .logcomplex import LogComplex, rescaled_sum
@@ -313,7 +313,7 @@ def _combin_suite(seed: int, n_points: int = 100, tol: float = 1e-11) -> dict:
     worst = 0.0
     for n in range(2, 9):
         for _ in range(n_points):
-            g = _separated_nodes(rng, n)
+            g = separated_nodes(rng, n)
             for p in range(0, n):
                 expect = 1.0 if p == n - 1 else 0.0
                 worst = max(worst, abs(combin1(g, p) - expect))
@@ -321,15 +321,6 @@ def _combin_suite(seed: int, n_points: int = 100, tol: float = 1e-11) -> dict:
             worst = max(worst, abs(combin2(g, c) - 1.0))
     return {"name": "combin-identities", "passed": worst <= tol,
             "max_deviation": worst, "tol": tol}
-
-
-def _separated_nodes(rng: np.random.Generator, n: int, min_gap: float = 0.35,
-                     radius: float = 1.6) -> list[complex]:
-    """Random complex nodes with pairwise separation (keeps the identities conditioned)."""
-    while True:
-        g = [complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius)) for _ in range(n)]
-        if all(abs(g[i] - g[k]) >= min_gap for i in range(n) for k in range(i + 1, n)):
-            return g
 
 
 def _operator_suite(cfg: RunConfig) -> dict:

@@ -39,13 +39,21 @@ class TriangularArray:
         return self.rows[n - 1]
 
     def shifted(self, shift: ShiftMap, hbar: float) -> "TriangularArray":
-        """gamma_{n,i} -> gamma_{n,i} + shift[(n,i)] * hbar."""
+        """gamma_{n,i} -> gamma_{n,i} + shift[(n,i)] * hbar.
+
+        The rows are already complex and of the right lengths, so the result
+        is built without re-running the constructor's checks.
+        """
         if not shift:
             return self
-        rows = [list(r) for r in self.rows]
+        rows = list(self.rows)
         for (n, i), k in shift.items():
-            rows[n - 1][i - 1] += k * hbar
-        return TriangularArray(tuple(tuple(r) for r in rows))
+            r = list(rows[n - 1])
+            r[i - 1] += k * hbar
+            rows[n - 1] = tuple(r)
+        out = object.__new__(TriangularArray)
+        object.__setattr__(out, "rows", tuple(rows))
+        return out
 
 
 def random_array(N: int, rng: np.random.Generator, scale: float = 2.0,

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import CoincidentPointsError
 
-__all__ = ["combin1", "combin2"]
+__all__ = ["combin1", "combin2", "separated_nodes"]
 
 
 def _check_distinct(gamma: Sequence[complex]) -> list[complex]:
@@ -55,3 +57,12 @@ def combin2(gamma: Sequence[complex], c: complex) -> complex:
                 t *= (c - gk) / (gi - gk)
         out += t
     return out
+
+
+def separated_nodes(rng: np.random.Generator, n: int, min_gap: float = 0.35,
+                    radius: float = 1.6) -> list[complex]:
+    """n random complex nodes in [-radius, radius]^2, redrawn until pairwise >= min_gap apart."""
+    while True:
+        g = [complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius)) for _ in range(n)]
+        if all(abs(g[i] - g[k]) >= min_gap for i in range(n) for k in range(i + 1, n)):
+            return g

@@ -78,7 +78,7 @@ def check_serre(N: int, hbar: float, n_functions: int, n_arrays: int,
                 seed: int) -> list[BracketCheck]:
     """[E_{n,n+1}, E_{k,k+1}] = 0 for |n - k| >= 2 (spot checks)."""
     rng = np.random.default_rng(seed)
-    zero = DifferenceOperator(hbar, [])
+    zero = DifferenceOperator(hbar, (), lambda arr: {})
     out = []
     for n in range(1, N):
         for k in range(n + 2, N):

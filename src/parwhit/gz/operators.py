@@ -1,10 +1,12 @@
 """Finite-difference operators in Gelfand-Zetlin variables.
 
-A DifferenceOperator is a finite sum of terms (coefficient closure, integer
-shift vector): (A f)(gamma) = sum_t c_t(gamma) f(gamma + hbar * shift_t).
-Composition evaluates the right factor's coefficients at shifted arguments,
-which is all the operator algebra needed to check identities numerically; no
-symbolic normal form is kept.
+A DifferenceOperator is evaluated as its symbol: the map gamma ->
+{shift sigma: c_sigma(gamma)} with one entry per distinct integer shift, and
+(A f)(gamma) = sum_sigma c_sigma(gamma) f(gamma + hbar * sigma).  The product
+A.B evaluates A's symbol once at gamma and B's once per distinct shift of A,
+summing equal keys as they are formed; sums and differences merge keys the
+same way.  That is all the operator algebra needed to check identities
+numerically; no symbolic normal form is kept.
 
 The generator realization (E_kk multiplication; E_{n,n+1} and E_{n+1,n}
 single-row shift operators with interpolation-style rational coefficients)
@@ -13,21 +15,20 @@ functions by the test suite.
 
 Adjoints are taken with respect to the pairing <f, g> = integral f g mu with
 the product measure mu(gamma) = prod_{n=2}^{N-1} prod_{i != j}
-1/Gamma((gamma_{n,i} - gamma_{n,j})/hbar): the adjoint of a term is its
-formal transpose (shift reversed, coefficient evaluated at the shifted
-point) times the measure ratio mu(gamma + hbar*shift)/mu(gamma), which
-collapses to a finite rational factor through Gamma(s+1) = s Gamma(s) and is
-never evaluated through gamma functions at runtime.
+1/Gamma((gamma_{n,i} - gamma_{n,j})/hbar): the adjoint has the reversed
+shift -sigma for each shift sigma, with coefficient c_sigma evaluated at
+gamma - hbar*sigma times the measure ratio mu(gamma - hbar*sigma)/mu(gamma),
+which collapses to a finite rational factor through Gamma(s+1) = s Gamma(s)
+and is never evaluated through gamma functions at runtime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+import cmath
+import itertools
+from typing import Callable, Iterable, Mapping
 
 from scipy.special import loggamma as _loggamma
-
-import cmath
 
 from ..errors import ConfigError
 from .arrays import TriangularArray
@@ -37,6 +38,7 @@ __all__ = ["DifferenceOperator", "GZMeasure", "gen", "commutator",
 
 Coeff = Callable[[TriangularArray], complex]
 ShiftKey = tuple[tuple[tuple[int, int], int], ...]
+Symbol = Callable[[TriangularArray], dict[ShiftKey, complex]]
 TestFn = Callable[[TriangularArray], complex]
 
 
@@ -44,37 +46,37 @@ def _shift_key(shift: Mapping[tuple[int, int], int]) -> ShiftKey:
     return tuple(sorted((pos, k) for pos, k in shift.items() if k != 0))
 
 
-@dataclass(frozen=True)
-class _Term:
-    coeff: Coeff
-    shift: ShiftKey
-
-    def shift_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.shift)
+def _add_keys(ka: ShiftKey, kb: ShiftKey) -> ShiftKey:
+    merged = dict(ka)
+    for pos, k in kb:
+        merged[pos] = merged.get(pos, 0) + k
+    return _shift_key(merged)
 
 
 class DifferenceOperator:
-    """Finite sum of (coefficient, integer shift) terms at a fixed hbar."""
+    """sum_sigma c_sigma(gamma) f(gamma + hbar*sigma) over distinct shifts, at a fixed hbar.
 
-    def __init__(self, hbar: float, terms):
+    `shifts` lists the distinct shift keys; `symbol(arr)` returns a fresh
+    dict {key: c_key(arr)} over exactly those keys.
+    """
+
+    def __init__(self, hbar: float, shifts: Iterable[ShiftKey], symbol: Symbol):
         if not hbar > 0:
             raise ConfigError("hbar must be > 0")
         self.hbar = float(hbar)
-        self.terms = tuple(terms)
+        self.shifts = tuple(shifts)
+        self.symbol = symbol
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.shifts)
 
     def apply(self, f: TestFn, arr: TriangularArray) -> complex:
-        """Evaluate (A f)(arr); terms with identical shifts are merged first."""
-        groups: dict[ShiftKey, complex] = {}
-        for t in self.terms:
-            groups[t.shift] = groups.get(t.shift, 0j) + t.coeff(arr)
+        """Evaluate (A f)(arr), skipping shifts whose coefficient is exactly zero."""
+        h = self.hbar
         out = 0j
-        for key, csum in groups.items():
-            if csum == 0:
-                continue
-            out += csum * f(arr.shifted(dict(key), self.hbar))
+        for key, c in self.symbol(arr).items():
+            if c != 0:
+                out += c * f(arr.shifted(dict(key), h))
         return out
 
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
@@ -82,31 +84,47 @@ class DifferenceOperator:
         if abs(self.hbar - other.hbar) > 0:
             raise ConfigError("cannot compose operators with different hbar")
         h = self.hbar
-        terms = []
-        for ta in self.terms:
-            sa = ta.shift_map()
-            for tb in other.terms:
-                def c(arr, ca=ta.coeff, cb=tb.coeff, sa=sa):
-                    return ca(arr) * cb(arr.shifted(sa, h))
-                merged = dict(sa)
-                for pos, k in tb.shift:
-                    merged[pos] = merged.get(pos, 0) + k
-                terms.append(_Term(c, _shift_key(merged)))
-        return DifferenceOperator(h, terms)
+        a, b = self.symbol, other.symbol
+        sums = {ka: {kb: _add_keys(ka, kb) for kb in other.shifts} for ka in self.shifts}
+
+        def symbol(arr):
+            out: dict[ShiftKey, complex] = {}
+            for ka, ca in a(arr).items():
+                row = sums[ka]
+                for kb, cb in b(arr.shifted(dict(ka), h)).items():
+                    key = row[kb]
+                    out[key] = out.get(key, 0j) + ca * cb
+            return out
+
+        shifts = dict.fromkeys(key for row in sums.values() for key in row.values())
+        return DifferenceOperator(h, shifts, symbol)
 
     def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         if abs(self.hbar - other.hbar) > 0:
             raise ConfigError("cannot add operators with different hbar")
-        return DifferenceOperator(self.hbar, self.terms + other.terms)
+        a, b = self.symbol, other.symbol
 
-    def __neg__(self) -> "DifferenceOperator":
-        return DifferenceOperator(
-            self.hbar,
-            [_Term((lambda arr, c=t.coeff: -c(arr)), t.shift) for t in self.terms],
-        )
+        def symbol(arr):
+            out = a(arr)
+            for key, c in b(arr).items():
+                out[key] = out.get(key, 0j) + c
+            return out
+
+        return DifferenceOperator(self.hbar, dict.fromkeys(self.shifts + other.shifts), symbol)
 
     def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return self + (-other)
+
+    def __neg__(self) -> "DifferenceOperator":
+        a = self.symbol
+        return DifferenceOperator(self.hbar, self.shifts,
+                                  lambda arr: {key: -c for key, c in a(arr).items()})
+
+
+def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]]) -> DifferenceOperator:
+    """The operator sum_t c_t(gamma) f(gamma + hbar*key_t); the keys must be distinct."""
+    return DifferenceOperator(h, [key for key, _ in terms],
+                              lambda arr: {key: c(arr) for key, c in terms})
 
 
 def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
@@ -127,42 +145,28 @@ def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
                 s -= sum(arr.row(n - 1))
             return s / h
 
-        return DifferenceOperator(h, [_Term(c, _shift_key({}))])
+        return _from_terms(h, [((), c)])
 
     if kind not in ("raise", "lower"):
         raise ConfigError(f"unknown generator kind {kind!r}")
     if not 1 <= n <= N - 1:
         raise ConfigError(f"{kind} index {n} out of range for N={N}")
 
-    terms = []
-    for i in range(1, n + 1):
-        if kind == "raise":
+    # raise: -prod_{j <= n+1} (g_ni - g_{n+1,j} - h/2); lower: prod_{j <= n-1} (g_ni - g_{n-1,j} + h/2)
+    row, off, sign, step = (n + 1, -h / 2, -1.0, -1) if kind == "raise" else (n - 1, h / 2, 1.0, 1)
 
-            def c(arr, n=n, i=i):
-                num = 1.0 + 0j
-                for j in range(1, n + 2):
-                    num *= arr.gamma(n, i) - arr.gamma(n + 1, j) - h / 2
-                den = 1.0 + 0j
-                for t in range(1, n + 1):
-                    if t != i:
-                        den *= arr.gamma(n, i) - arr.gamma(n, t)
-                return -num / (h * den)
+    def c(arr, i):
+        g = arr.gamma(n, i)
+        num = sign + 0j
+        for j in range(1, row + 1):
+            num *= g - arr.gamma(row, j) + off
+        den = 1.0 + 0j
+        for t in range(1, n + 1):
+            if t != i:
+                den *= g - arr.gamma(n, t)
+        return num / (h * den)
 
-            terms.append(_Term(c, _shift_key({(n, i): -1})))
-        else:
-
-            def c(arr, n=n, i=i):
-                num = 1.0 + 0j
-                for j in range(1, n):
-                    num *= arr.gamma(n, i) - arr.gamma(n - 1, j) + h / 2
-                den = 1.0 + 0j
-                for t in range(1, n + 1):
-                    if t != i:
-                        den *= arr.gamma(n, i) - arr.gamma(n, t)
-                return num / (h * den)
-
-            terms.append(_Term(c, _shift_key({(n, i): +1})))
-    return DifferenceOperator(h, terms)
+    return _from_terms(h, [((((n, i), step),), lambda arr, i=i: c(arr, i)) for i in range(1, n + 1)])
 
 
 def commutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
@@ -195,8 +199,6 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
     if not 1 <= n <= N - 1:
         raise ConfigError(f"need 1 <= n <= N-1, got n={n}, N={N}")
     h = float(hbar)
-    import itertools
-
     terms = []
     for chain in itertools.product(*[range(1, N - r + 1) for r in range(1, N - n + 1)]):
 
@@ -218,26 +220,19 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
                 prev = ir
             return val
 
-        shift: dict[tuple[int, int], int] = {}
-        for r, ir in enumerate(chain, start=1):
-            pos = (N - r, ir)
-            shift[pos] = shift.get(pos, 0) - 1
-        terms.append(_Term(c, _shift_key(shift)))
-    return DifferenceOperator(h, terms)
+        terms.append((_shift_key({(N - r, ir): -1 for r, ir in enumerate(chain, start=1)}), c))
+    return _from_terms(h, terms)
 
 
 def coxeter_cycle(m: int, N: int) -> tuple[int, ...]:
     """The permutation w with w(i) = i+1 for i < m, w(m) = 1, fixing i > m.
 
     This is the Coxeter element twisting used for the Whittaker-vector
-    checks; w[i-1] holds w(i).
+    checks; w[i-1] holds w(i).  Needs 1 <= m <= N.
     """
-    w = list(range(1, N + 1))
-    for i in range(1, m):
-        w[i - 1] = i + 1
-    if m >= 1:
-        w[m - 1] = 1
-    return tuple(w)
+    if not 1 <= m <= N:
+        raise ConfigError(f"coxeter_cycle needs 1 <= m <= N, got m={m}, N={N}")
+    return tuple(range(2, m + 1)) + (1,) + tuple(range(m + 1, N + 1))
 
 
 def twist(label: tuple[int, int], w, N: int, hbar: float) -> DifferenceOperator:
@@ -246,10 +241,8 @@ def twist(label: tuple[int, int], w, N: int, hbar: float) -> DifferenceOperator:
     w = tuple(w)
     if sorted(w) != list(range(1, N + 1)):
         raise ConfigError(f"w = {w} is not a permutation of 1..{N}")
-    winv = [0] * N
-    for a, wa in enumerate(w, start=1):
-        winv[wa - 1] = a
-    return build_Eij(winv[i - 1], winv[j - 1], N, hbar)
+    winv = {wa: a for a, wa in enumerate(w, start=1)}
+    return build_Eij(winv[i], winv[j], N, hbar)
 
 
 class GZMeasure:
@@ -298,34 +291,30 @@ class GZMeasure:
                         continue
                     v = (arr.gamma(n, i) - arr.gamma(n, j)) / h
                     # Gamma(v+d)/Gamma(v) as a Pochhammer product; mu carries 1/Gamma
-                    if d > 0:
-                        p = 1.0 + 0j
-                        for t in range(d):
-                            p *= v + t
-                        out /= p
-                    else:
-                        p = 1.0 + 0j
-                        for t in range(1, -d + 1):
-                            p *= v - t
-                        out *= p
+                    p = 1.0 + 0j
+                    for t in (range(d) if d > 0 else range(-1, d - 1, -1)):
+                        p *= v + t
+                    out = out / p if d > 0 else out * p
         return out
 
 
 def adjoint(a: DifferenceOperator, mu: GZMeasure) -> DifferenceOperator:
-    """Adjoint under the mu-pairing: transpose each term and attach the mu ratio.
+    """Adjoint under the mu-pairing: reverse each shift and attach the mu ratio.
 
-    Term (c, sigma) maps to shift -sigma with coefficient
-    c(gamma - hbar*sigma) * mu(gamma - hbar*sigma)/mu(gamma); applying
-    adjoint twice returns the original operator.
+    Shift sigma maps to -sigma with coefficient
+    c_sigma(gamma - hbar*sigma) * mu(gamma - hbar*sigma)/mu(gamma), read from
+    a's symbol at gamma - hbar*sigma; applying adjoint twice returns the
+    original operator.
     """
     h = a.hbar
-    terms = []
-    for t in a.terms:
-        tau = {pos: -k for pos, k in t.shift}
+    flips = [(sigma, tuple((pos, -k) for pos, k in sigma)) for sigma in a.shifts]
+    sym = a.symbol
 
-        def c(arr, c0=t.coeff, tau=tau):
-            shifted = arr.shifted(tau, h)
-            return c0(shifted) * mu.ratio(arr, tau)
+    def symbol(arr):
+        out = {}
+        for sigma, tau in flips:
+            back = dict(tau)
+            out[tau] = sym(arr.shifted(back, h))[sigma] * mu.ratio(arr, back)
+        return out
 
-        terms.append(_Term(c, _shift_key(tau)))
-    return DifferenceOperator(h, terms)
+    return DifferenceOperator(h, [tau for _, tau in flips], symbol)

@@ -15,7 +15,7 @@ import pytest
 from parwhit import (SpectralData, auto_contour, eval_mb, eval_residue_series,
                      leading_asymptotic)
 from parwhit.cli import main
-from parwhit.gz import (combin1, combin2, verify_left_whittaker,
+from parwhit.gz import (combin1, combin2, separated_nodes, verify_left_whittaker,
                         verify_right_support_relations)
 from parwhit.gz.identity import check_brackets, check_build_EnN
 from parwhit.logcomplex import rescaled_sum
@@ -96,17 +96,10 @@ def test_criterion_3_asymptotics():
 
 def test_criterion_4_combinatorial_identities():
     rng = np.random.default_rng(2024)
-
-    def nodes(n):
-        while True:
-            g = [complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6)) for _ in range(n)]
-            if all(abs(g[i] - g[k]) >= 0.35 for i in range(n) for k in range(i + 1, n)):
-                return g
-
     worst = 0.0
     for n in range(2, 9):
         for _ in range(100):
-            g = nodes(n)
+            g = separated_nodes(rng, n)
             for p in range(n):
                 expect = 1.0 if p == n - 1 else 0.0
                 worst = max(worst, abs(combin1(g, p) - expect))

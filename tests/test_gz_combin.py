@@ -3,17 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parwhit.errors import CoincidentPointsError
-from parwhit.gz import combin1, combin2
+from parwhit.gz import combin1, combin2, separated_nodes
 
 from oracles import homogeneous_poly
-
-
-def separated_nodes(rng, n, min_gap=0.35, radius=1.6):
-    while True:
-        g = [complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-             for _ in range(n)]
-        if all(abs(g[i] - g[k]) >= min_gap for i in range(n) for k in range(i + 1, n)):
-            return g
 
 
 def test_small_closed_form_cases():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -82,9 +83,18 @@ class TestBuildEnN:
                 va, vb = a.apply(f, arr), b.apply(f, arr)
                 assert abs(va - vb) <= 1e-10 * max(1.0, abs(vb))
 
-    def test_matches_nested_commutators_to_N5(self):
-        for N in (3, 4, 5):
+    def test_matches_nested_commutators_to_N6(self):
+        for N in (3, 4, 5, 6):
             assert max(c.deviation for c in check_build_EnN(N, H, 3, 3, seed=20)) <= 1e-9
+
+    def test_nested_commutator_has_one_entry_per_distinct_shift(self):
+        # [[E12, E23], ..., E_{N-1,N}] is built from 2^(N-2) (N-1)! products,
+        # which land on the (N-1)! shifts of the closed form
+        for N in (3, 4, 5, 6):
+            nested = gen("raise", 1, N, H)
+            for k in range(2, N):
+                nested = commutator(nested, gen("raise", k, N, H))
+            assert len(nested) == len(build_EnN(1, N, H)) == math.factorial(N - 1)
 
 
 class TestTwist:
@@ -117,6 +127,29 @@ class TestTwist:
     def test_bad_permutation(self):
         with pytest.raises(ConfigError):
             twist((1, 2), (1, 1, 3), 3, H)
+
+    def test_coxeter_cycle_range(self):
+        assert coxeter_cycle(1, 3) == (1, 2, 3)
+        assert coxeter_cycle(3, 3) == (2, 3, 1)
+        assert coxeter_cycle(2, 4) == (2, 1, 3, 4)
+        for m, N in ((0, 3), (5, 3), (-1, 2)):
+            with pytest.raises(ConfigError):
+                coxeter_cycle(m, N)
+
+
+class TestTriangularArray:
+    def test_shifted_equals_constructed(self):
+        arr = random_array(4, np.random.default_rng(12))
+        before = arr.rows
+        shift = {(1, 1): 1, (3, 2): -2, (4, 4): 1}
+        got = arr.shifted(shift, H)
+        rows = [list(r) for r in arr.rows]
+        for (n, i), k in shift.items():
+            rows[n - 1][i - 1] += k * H
+        assert got == TriangularArray(tuple(tuple(r) for r in rows))
+        assert arr.rows == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.rows = before
 
 
 class TestAdjoint:
