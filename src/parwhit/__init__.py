@@ -12,7 +12,7 @@ from .asympt import coset_coefficient, enumerate_cosets, leading_asymptotic
 from .errors import (CoincidentPointsError, ConfigError, DeskScaleError,
                      DomainError, GenericityError, ParwhitError, PoleError,
                      QuadratureError, SupportError, VerificationError)
-from .gammafns import HbarParam, gamma1, log_gamma, recip_gamma1
+from .gammafns import gamma1, log_gamma, recip_gamma1
 from .logcomplex import LogComplex, rescaled_sum
 from .mbquad import MBResult, auto_contour, eval_mb, integrand
 from .residues import (PoleAssignment, SeriesConfig, SeriesResult,
@@ -22,7 +22,7 @@ from .spectral import ContourConfig, SpectralData
 __all__ = [
     "__version__",
     "LogComplex", "rescaled_sum",
-    "HbarParam", "log_gamma", "gamma1", "recip_gamma1",
+    "log_gamma", "gamma1", "recip_gamma1",
     "SpectralData", "ContourConfig",
     "MBResult", "integrand", "eval_mb", "auto_contour",
     "PoleAssignment", "SeriesConfig", "SeriesResult",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -28,15 +29,13 @@ from . import __version__
 from .asympt import leading_asymptotic
 from .errors import (ConfigError, DomainError, ParwhitError, QuadratureError,
                      VerificationError)
-from .gz.combin import combin1, combin2, separated_nodes
+from .gz.combin import check_combin_identities
 from .gz.identity import check_brackets, check_build_EnN
 from .gz.whittaker import verify_left_whittaker, verify_right_support_relations
 from .logcomplex import LogComplex, rescaled_sum
 from .mbquad import auto_contour, eval_mb
 from .residues import SeriesConfig, eval_residue_series
 from .spectral import ContourConfig, SpectralData
-
-import numpy as np
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,29 +162,41 @@ class ResultRecord:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRecord":
-        return cls(inputs=d["inputs"], method=d["method"], value=d["value"],
-                   error_estimate=d["error_estimate"], wall_time=d["wall_time"],
-                   library_version=d["library_version"],
-                   diagnostics=d.get("diagnostics", {}))
-
 
 def _inputs_echo(cfg: RunConfig, s: SpectralData) -> dict:
     return {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x,
             "method": cfg.method, "seed": cfg.seed}
 
 
-def _series_record(cfg: RunConfig, s: SpectralData) -> tuple[ResultRecord, LogComplex]:
+def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex, ResultRecord]:
+    """One value by method ("mb", "residue" or "asymptotic") and its timed record."""
     t0 = time.perf_counter()
-    res = eval_residue_series(s, SeriesConfig(max_order=cfg.max_order, tol=cfg.series_tol))
-    dt = time.perf_counter() - t0
-    rec = ResultRecord(
-        inputs=_inputs_echo(cfg, s), method="residue",
-        value=_value_payload(res.value), error_estimate=res.tail_estimate, wall_time=dt,
-        diagnostics={"orders_summed": res.orders_summed, "terms": res.terms},
-    )
-    return rec, res.value
+    diagnostics = {}
+    if method == "mb":
+        res = eval_mb(s, cfg.contour(s), max_rel_err=1e-3)
+        value, err = res.value, res.error_estimate
+    elif method == "residue":
+        res = eval_residue_series(s, SeriesConfig(max_order=cfg.max_order, tol=cfg.series_tol))
+        value, err = res.value, res.tail_estimate
+        diagnostics = {"orders_summed": res.orders_summed, "terms": res.terms}
+    else:
+        value, err = leading_asymptotic(s), 0.0
+    rec = ResultRecord(_inputs_echo(cfg, s), method, _value_payload(value), err,
+                       time.perf_counter() - t0, diagnostics=diagnostics)
+    return value, rec
+
+
+def _evaluate_all(cfg: RunConfig, s: SpectralData,
+                  methods: list[str]) -> tuple[dict[str, LogComplex], list[dict]]:
+    values, records = {}, []
+    for method in methods:
+        values[method], rec = _evaluate(cfg, s, method)
+        records.append(rec.to_dict())
+    return values, records
+
+
+def _methods(cfg: RunConfig) -> list[str]:
+    return ["mb", "residue"] if cfg.method == "both" else [cfg.method]
 
 
 def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
@@ -197,92 +208,41 @@ def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
     return math.exp(diff.log_mag - a.log_mag) if not diff.is_zero else 0.0
 
 
-def _eval_methods(cfg: RunConfig, s: SpectralData) -> tuple[list[ResultRecord], float | None]:
-    records = []
-    values = {}
-    if cfg.method in ("mb", "both"):
-        t0 = time.perf_counter()
-        res = eval_mb(s, cfg.contour(s), max_rel_err=1e-3)
-        dt = time.perf_counter() - t0
-        values["mb"] = res.value
-        records.append(ResultRecord(
-            inputs=_inputs_echo(cfg, s), method="mb",
-            value=_value_payload(res.value), error_estimate=res.error_estimate,
-            wall_time=dt,
-        ))
-    if cfg.method in ("residue", "both"):
-        rec, values["residue"] = _series_record(cfg, s)
-        records.append(rec)
-    disc = None
-    if len(values) == 2:
-        disc = _rel_discrepancy(values["mb"], values["residue"])
-    return records, disc
-
-
 def cmd_eval(cfg: RunConfig) -> dict:
-    s = cfg.spectral()
-    records, disc = _eval_methods(cfg, s)
-    out = {"schema": SCHEMA_VERSION, "command": "eval",
-           "records": [r.to_dict() for r in records]}
-    if disc is not None:
-        out["discrepancy"] = disc
+    values, records = _evaluate_all(cfg, cfg.spectral(), _methods(cfg))
+    out = {"schema": SCHEMA_VERSION, "command": "eval", "records": records}
+    if len(values) == 2:
+        out["discrepancy"] = _rel_discrepancy(values["mb"], values["residue"])
     return out
 
 
 def cmd_asympt(cfg: RunConfig) -> dict:
-    s = cfg.spectral()
-    t0 = time.perf_counter()
-    v = leading_asymptotic(s)
-    dt = time.perf_counter() - t0
-    rec = ResultRecord(inputs=_inputs_echo(cfg, s), method="asymptotic",
-                       value=_value_payload(v), error_estimate=0.0, wall_time=dt)
-    return {"schema": SCHEMA_VERSION, "command": "asympt", "records": [rec.to_dict()]}
+    _, records = _evaluate_all(cfg, cfg.spectral(), ["asymptotic"])
+    return {"schema": SCHEMA_VERSION, "command": "asympt", "records": records}
 
 
 def cmd_xval(cfg: RunConfig) -> dict:
     s = cfg.spectral()
-    values: dict[str, LogComplex] = {}
-    records = []
-    t0 = time.perf_counter()
-    mb = eval_mb(s, cfg.contour(s), max_rel_err=1e-3)
-    values["mb"] = mb.value
-    records.append(ResultRecord(_inputs_echo(cfg, s), "mb", _value_payload(mb.value),
-                                mb.error_estimate, time.perf_counter() - t0))
-    if s.x < 0:
-        rec, values["residue"] = _series_record(cfg, s)
-        records.append(rec)
-    t0 = time.perf_counter()
-    asym = leading_asymptotic(s)
-    values["asymptotic"] = asym
-    records.append(ResultRecord(_inputs_echo(cfg, s), "asymptotic", _value_payload(asym),
-                                0.0, time.perf_counter() - t0))
-    discrepancies = {}
-    names = list(values)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            discrepancies[f"{names[i]}/{names[j]}"] = _rel_discrepancy(values[names[i]], values[names[j]])
+    methods = ["mb", "residue", "asymptotic"] if s.x < 0 else ["mb", "asymptotic"]
+    values, records = _evaluate_all(cfg, s, methods)
+    discrepancies = {f"{a}/{b}": _rel_discrepancy(values[a], values[b])
+                     for a, b in itertools.combinations(values, 2)}
     return {"schema": SCHEMA_VERSION, "command": "xval",
-            "records": [r.to_dict() for r in records], "discrepancies": discrepancies}
+            "records": records, "discrepancies": discrepancies}
 
 
 def cmd_sweep(cfg: RunConfig) -> dict:
     rows = []
-    methods = ["mb", "residue"] if cfg.method == "both" else [cfg.method]
     for x in cfg.x_grid:
-        for method in methods:
+        for method in _methods(cfg):
             row = {"x": x, "method": method}
             try:
                 s = cfg.spectral(x=x)
-                if method == "mb":
-                    res = eval_mb(s, cfg.contour(s), max_rel_err=1e-3)
-                    value, err = res.value, res.error_estimate
-                else:
-                    rs = eval_residue_series(s, SeriesConfig(max_order=cfg.max_order, tol=cfg.series_tol))
-                    value, err = rs.value, rs.tail_estimate
-                asym = leading_asymptotic(s)
+                value, rec = _evaluate(cfg, s, method)
+                asym, _ = _evaluate(cfg, s, "asymptotic")
                 ratio = value / asym
-                row.update(_value_payload(value))
-                row["error_estimate"] = err
+                row.update(rec.value)
+                row["error_estimate"] = rec.error_estimate
                 row["ratio_to_asymptotic"] = (
                     math.exp(ratio.log_mag) * math.cos(ratio.phase) if ratio.log_mag < 700 else math.nan
                 )
@@ -308,21 +268,6 @@ def _sweep_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _combin_suite(seed: int, n_points: int = 100, tol: float = 1e-11) -> dict:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in range(2, 9):
-        for _ in range(n_points):
-            g = separated_nodes(rng, n)
-            for p in range(0, n):
-                expect = 1.0 if p == n - 1 else 0.0
-                worst = max(worst, abs(combin1(g, p) - expect))
-            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            worst = max(worst, abs(combin2(g, c) - 1.0))
-    return {"name": "combin-identities", "passed": worst <= tol,
-            "max_deviation": worst, "tol": tol}
-
-
 def _operator_suite(cfg: RunConfig) -> dict:
     tol = 1e-9
     checks = check_brackets(cfg.N, cfg.hbar, 5, 5, cfg.seed)
@@ -335,9 +280,9 @@ def _operator_suite(cfg: RunConfig) -> dict:
 def cmd_verify(cfg: RunConfig) -> dict:
     if not 2 <= cfg.m < cfg.N:
         raise ConfigError(f"verify needs 2 <= m < N, got m={cfg.m}, N={cfg.N}")
-    suites = []
-    suites.append(_combin_suite(cfg.seed))
-    suites.append(_operator_suite(cfg))
+    worst, tol = check_combin_identities(cfg.seed), 1e-11
+    suites = [{"name": "combin-identities", "passed": worst <= tol, "max_deviation": worst, "tol": tol},
+              _operator_suite(cfg)]
     left = verify_left_whittaker(cfg.m, cfg.N, samples=cfg.samples, seed=cfg.seed,
                                  hbar=cfg.hbar, perturb=cfg.perturb_psi_l)
     suites.append(left.to_dict())

@@ -1,54 +1,64 @@
 """Complex gamma machinery in the hbar-rescaled normalization.
 
-The workhorse is the rescaled gamma
+Every route to Psi evaluates the rescaled gamma
 
     gamma1(z | hbar) = hbar^(z/hbar) * Gamma(z/hbar),
 
 with the principal branch of hbar^(z/hbar) = exp((z/hbar) log hbar), hbar > 0.
 It has simple poles exactly at z = -n*hbar, n = 0, 1, 2, ..., and satisfies
-the recurrence gamma1(z + hbar) = z * gamma1(z).
+the recurrence gamma1(z + hbar) = z * gamma1(z).  Plain Gamma is gamma1 at
+hbar = 1.
 
-All values are returned in log space (LogComplex); the reciprocal, which is
-entire, is returned as an ordinary complex with exact zeros on the pole set.
+Two kernels carry all of it, and this is the only module that calls scipy:
+
+    log_gamma1(z, hbar)  (z/hbar) log hbar + loggamma(z/hbar), elementwise on
+                         numpy arrays or scalars, with no pole or hbar check;
+    on_pole_lattice(w)   whether w lies within POLE_TOL of a non-positive
+                         integer, the pole set of Gamma(w).
+
+The quadrature, the residue tables, the coset sum and the GZ Whittaker vector
+call these two.  The public wrappers check their input: gamma1 returns a
+LogComplex and raises PoleError on the pole set; the reciprocal, which is
+entire, is returned as an ordinary complex with exact zeros there.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from .errors import ConfigError, PoleError
 from .logcomplex import LogComplex
 
-__all__ = ["HbarParam", "log_gamma", "gamma1", "recip_gamma1", "log_gamma1_value", "POLE_TOL"]
+__all__ = ["log_gamma1", "on_pole_lattice", "log_gamma", "gamma1", "recip_gamma1", "POLE_TOL"]
 
 #: distance (in units of hbar for gamma1) below which an argument counts as a pole
 POLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class HbarParam:
-    """Strictly positive quantization scale; negative or zero values are rejected."""
+def log_gamma1(z, hbar: float):
+    """Unchecked natural log of gamma1(z|hbar), elementwise; the caller guards poles and hbar.
 
-    hbar: float
-
-    def __post_init__(self):
-        if not (isinstance(self.hbar, (int, float)) and math.isfinite(self.hbar) and self.hbar > 0):
-            raise ConfigError(f"hbar must be a finite real > 0, got {self.hbar!r}")
-
-
-def _as_hbar(hbar: "HbarParam | float") -> float:
-    if isinstance(hbar, HbarParam):
-        return float(hbar.hbar)
-    return float(HbarParam(hbar).hbar)
+    z may be real: it is divided by hbar as given and only then made complex,
+    which selects the principal branch on the negative real axis.
+    """
+    w = np.asarray(z / hbar, dtype=complex)
+    return w * math.log(hbar) + _loggamma(w)
 
 
-def _near_nonpositive_integer(w: complex, tol: float) -> bool:
-    n = round(w.real)
-    return n <= 0 and abs(w.real - n) <= tol and abs(w.imag) <= tol
+def on_pole_lattice(w):
+    """True where w is within POLE_TOL of a non-positive integer, elementwise."""
+    n = (w.real + 0.5) // 1.0      # the nearest integer; ties are never within POLE_TOL
+    return (n <= 0) & (abs(w.real - n) <= POLE_TOL) & (abs(w.imag) <= POLE_TOL)
+
+
+def _checked_hbar(hbar) -> float:
+    if not (isinstance(hbar, (int, float)) and math.isfinite(hbar) and hbar > 0):
+        raise ConfigError(f"hbar must be a finite real > 0, got {hbar!r}")
+    return float(hbar)
 
 
 def log_gamma(z: complex) -> LogComplex:
@@ -56,39 +66,29 @@ def log_gamma(z: complex) -> LogComplex:
 
     Raises PoleError when z is within POLE_TOL of a nonpositive integer.
     """
-    z = complex(z)
-    if _near_nonpositive_integer(z, POLE_TOL):
-        raise PoleError(f"Gamma pole at z = {z}")
-    return LogComplex.from_log(complex(_loggamma(z)))
+    return gamma1(z, 1.0)
 
 
-def log_gamma1_value(z: complex, hbar: "HbarParam | float") -> complex:
-    """Unchecked natural log of gamma1(z|hbar); caller guards poles."""
-    h = _as_hbar(hbar)
-    w = complex(z) / h
-    return w * math.log(h) + complex(_loggamma(w))
-
-
-def gamma1(z: complex, hbar: "HbarParam | float") -> LogComplex:
+def gamma1(z: complex, hbar: float) -> LogComplex:
     """The rescaled gamma hbar^(z/hbar) Gamma(z/hbar) in log form.
 
     Raises PoleError when z/hbar is within POLE_TOL of a nonpositive integer.
     """
-    h = _as_hbar(hbar)
-    w = complex(z) / h
-    if _near_nonpositive_integer(w, POLE_TOL):
-        raise PoleError(f"gamma1 pole: z = {z} is within tolerance of {round(w.real)}*hbar")
-    return LogComplex.from_log(w * math.log(h) + complex(_loggamma(w)))
+    h = _checked_hbar(hbar)
+    z = complex(z)
+    if on_pole_lattice(z / h):
+        raise PoleError(f"gamma1 pole: z = {z} is within tolerance of {round(z.real / h)}*hbar")
+    return LogComplex.from_log(complex(log_gamma1(z, h)))
 
 
-def recip_gamma1(z: complex, hbar: "HbarParam | float") -> complex:
+def recip_gamma1(z: complex, hbar: float) -> complex:
     """1 / gamma1(z|hbar) as an ordinary complex; entire in z.
 
     Returns exactly 0 when z sits on the pole set z = -n*hbar (within
     POLE_TOL in units of hbar), where the reciprocal has its zeros.
     """
-    h = _as_hbar(hbar)
-    w = complex(z) / h
-    if _near_nonpositive_integer(w, POLE_TOL):
+    h = _checked_hbar(hbar)
+    z = complex(z)
+    if on_pole_lattice(z / h):
         return 0j
-    return cmath.exp(-(w * math.log(h) + complex(_loggamma(w))))
+    return cmath.exp(-complex(log_gamma1(z, h)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import CoincidentPointsError
 
-__all__ = ["combin1", "combin2", "separated_nodes"]
+__all__ = ["combin1", "combin2", "separated_nodes", "check_combin_identities"]
 
 
 def _check_distinct(gamma: Sequence[complex]) -> list[complex]:
@@ -66,3 +66,22 @@ def separated_nodes(rng: np.random.Generator, n: int, min_gap: float = 0.35,
         g = [complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius)) for _ in range(n)]
         if all(abs(g[i] - g[k]) >= min_gap for i in range(n) for k in range(i + 1, n)):
             return g
+
+
+def check_combin_identities(seed: int) -> float:
+    """Worst deviation of combin1 and combin2 from their closed forms at random nodes.
+
+    For n = 2..8, 100 node sets from separated_nodes: combin1 for every
+    p < n against delta_{p, n-1}, and combin2 at one random point against 1.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in range(2, 9):
+        for _ in range(100):
+            g = separated_nodes(rng, n)
+            for p in range(n):
+                expect = 1.0 if p == n - 1 else 0.0
+                worst = max(worst, abs(combin1(g, p) - expect))
+            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            worst = max(worst, abs(combin2(g, c) - 1.0))
+    return worst

@@ -19,7 +19,11 @@ the product measure mu(gamma) = prod_{n=2}^{N-1} prod_{i != j}
 shift -sigma for each shift sigma, with coefficient c_sigma evaluated at
 gamma - hbar*sigma times the measure ratio mu(gamma - hbar*sigma)/mu(gamma),
 which collapses to a finite rational factor through Gamma(s+1) = s Gamma(s)
-and is never evaluated through gamma functions at runtime.
+and is never evaluated through gamma functions at runtime.  Each operator
+keeps how it was built, so its adjoint follows the same structure:
+(A.B)^dag = B^dag.A^dag, (A + B)^dag = A^dag + B^dag, and an operator built
+from terms flips each term on its own.  A commutator of generators thus has
+the adjoint [B^dag, A^dag], and each coefficient is evaluated once per point.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ import cmath
 import itertools
 from typing import Callable, Iterable, Mapping
 
-from scipy.special import loggamma as _loggamma
-
 from ..errors import ConfigError
+from ..gammafns import log_gamma1, on_pole_lattice
 from .arrays import TriangularArray
 
 __all__ = ["DifferenceOperator", "GZMeasure", "gen", "commutator",
@@ -66,6 +69,9 @@ class DifferenceOperator:
         self.hbar = float(hbar)
         self.shifts = tuple(shifts)
         self.symbol = symbol
+        # mu -> adjoint; without a known structure every shift reads the whole symbol
+        self._dagger = lambda mu: adjoint(_from_terms(
+            self.hbar, [(key, lambda arr, key=key: symbol(arr)[key]) for key in self.shifts]), mu)
 
     def __len__(self) -> int:
         return len(self.shifts)
@@ -97,7 +103,8 @@ class DifferenceOperator:
             return out
 
         shifts = dict.fromkeys(key for row in sums.values() for key in row.values())
-        return DifferenceOperator(h, shifts, symbol)
+        return _with_dagger(DifferenceOperator(h, shifts, symbol),
+                            lambda mu: adjoint(other, mu).compose(adjoint(self, mu)))
 
     def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         if abs(self.hbar - other.hbar) > 0:
@@ -110,21 +117,41 @@ class DifferenceOperator:
                 out[key] = out.get(key, 0j) + c
             return out
 
-        return DifferenceOperator(self.hbar, dict.fromkeys(self.shifts + other.shifts), symbol)
+        return _with_dagger(DifferenceOperator(self.hbar, dict.fromkeys(self.shifts + other.shifts), symbol),
+                            lambda mu: adjoint(self, mu) + adjoint(other, mu))
 
     def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return self + (-other)
 
     def __neg__(self) -> "DifferenceOperator":
         a = self.symbol
-        return DifferenceOperator(self.hbar, self.shifts,
-                                  lambda arr: {key: -c for key, c in a(arr).items()})
+        return _with_dagger(DifferenceOperator(self.hbar, self.shifts,
+                                               lambda arr: {key: -c for key, c in a(arr).items()}),
+                            lambda mu: -adjoint(self, mu))
+
+
+def _with_dagger(op: DifferenceOperator, dagger) -> DifferenceOperator:
+    op._dagger = dagger
+    return op
 
 
 def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]]) -> DifferenceOperator:
-    """The operator sum_t c_t(gamma) f(gamma + hbar*key_t); the keys must be distinct."""
-    return DifferenceOperator(h, [key for key, _ in terms],
-                              lambda arr: {key: c(arr) for key, c in terms})
+    """The operator sum_t c_t(gamma) f(gamma + hbar*key_t); the keys must be distinct.
+
+    Its adjoint has one term per term: shift -key, coefficient
+    c_t(gamma - hbar*key) * mu(gamma - hbar*key)/mu(gamma).
+    """
+    def dagger(mu):
+        flipped = []
+        for key, c in terms:
+            back = {pos: -k for pos, k in key}
+            flipped.append((_shift_key(back), lambda arr, c=c, back=back:
+                            c(arr.shifted(back, h)) * mu.ratio(arr, back)))
+        return _from_terms(h, flipped)
+
+    return _with_dagger(DifferenceOperator(h, [key for key, _ in terms],
+                                           lambda arr: {key: c(arr) for key, c in terms}),
+                        dagger)
 
 
 def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
@@ -271,17 +298,16 @@ class GZMeasure:
                     if i == j:
                         continue
                     v = (arr.gamma(n, i) - arr.gamma(n, j)) / h
-                    k = round(v.real)
-                    if k <= 0 and abs(v.real - k) <= 1e-12 and abs(v.imag) <= 1e-12:
+                    if on_pole_lattice(v):
                         return 0j
-                    out *= cmath.exp(-complex(_loggamma(complex(v))))
+                    out *= cmath.exp(-complex(log_gamma1(v, 1.0)))
         return out
 
     def ratio(self, arr: TriangularArray, shift: Mapping[tuple[int, int], int]) -> complex:
         """mu(gamma + hbar*shift) / mu(gamma) as a finite rational factor."""
         h = self.hbar
         out = 1.0 + 0j
-        for n in range(2, self.N):
+        for n in sorted({n for n, _ in shift if 2 <= n < self.N}):   # rows the shift moves
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i == j:
@@ -302,19 +328,8 @@ def adjoint(a: DifferenceOperator, mu: GZMeasure) -> DifferenceOperator:
     """Adjoint under the mu-pairing: reverse each shift and attach the mu ratio.
 
     Shift sigma maps to -sigma with coefficient
-    c_sigma(gamma - hbar*sigma) * mu(gamma - hbar*sigma)/mu(gamma), read from
-    a's symbol at gamma - hbar*sigma; applying adjoint twice returns the
-    original operator.
+    c_sigma(gamma - hbar*sigma) * mu(gamma - hbar*sigma)/mu(gamma).  It is
+    built from the adjoints of the parts a was built from, in reverse order
+    for products; applying adjoint twice returns the original operator.
     """
-    h = a.hbar
-    flips = [(sigma, tuple((pos, -k) for pos, k in sigma)) for sigma in a.shifts]
-    sym = a.symbol
-
-    def symbol(arr):
-        out = {}
-        for sigma, tau in flips:
-            back = dict(tau)
-            out[tau] = sym(arr.shifted(back, h))[sigma] * mu.ratio(arr, back)
-        return out
-
-    return DifferenceOperator(h, [tau for _, tau in flips], symbol)
+    return a._dagger(mu)

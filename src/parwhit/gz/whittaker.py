@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 from ..errors import ConfigError, VerificationError
+from ..gammafns import log_gamma1, on_pole_lattice
 from .arrays import SupportConstraints, TriangularArray, random_array
 from .operators import GZMeasure, adjoint, coxeter_cycle, twist
 
@@ -36,6 +36,17 @@ __all__ = ["psi_L", "verify_left_whittaker", "verify_right_support_relations",
            "LeftWhittakerReport", "RightSupportReport"]
 
 _MAX_RESAMPLE = 50
+
+
+def _block_args(arr: TriangularArray, n: int, p: int, h: float) -> np.ndarray:
+    """gamma_{n-1,a} - gamma_{n,b} + hbar/2 for a <= p, b <= n, row-major in (a, b)."""
+    return np.array([arr.gamma(n - 1, a) - arr.gamma(n, b) + h / 2
+                     for a in range(1, p + 1) for b in range(1, n + 1)])
+
+
+def _log_block(arr: TriangularArray, n: int, p: int, h: float) -> complex:
+    """log prod_{a<=p, b<=n} gamma1(gamma_{n-1,a} - gamma_{n,b} + hbar/2)."""
+    return complex(log_gamma1(_block_args(arr, n, p, h), h).sum())
 
 
 def psi_L(m: int, arr: TriangularArray, hbar: float, perturb: float = 0.0) -> complex:
@@ -47,18 +58,11 @@ def psi_L(m: int, arr: TriangularArray, hbar: float, perturb: float = 0.0) -> co
     if not 2 <= m <= arr.N:
         raise ConfigError(f"psi_L needs 2 <= m <= N, got m={m}, N={arr.N}")
     h = float(hbar)
-    log = 1j * math.pi * arr.gamma(1, 1) / h
-    for i in range(1, m):
-        for j in range(1, m + 1):
-            z = arr.gamma(m - 1, i) - arr.gamma(m, j) + h / 2
-            if i == 1 and j == 1:
-                z += perturb
-            w = z / h
-            k = round(w.real)
-            if k <= 0 and abs(w.real - k) <= 1e-12 and abs(w.imag) <= 1e-12:
-                return 0j          # zero of the reciprocal gamma
-            log -= w * math.log(h) + complex(_loggamma(w))
-    return cmath.exp(log)
+    z = _block_args(arr, m, m - 1, h)
+    z[0] += perturb
+    if on_pole_lattice(z / h).any():
+        return 0j          # zero of the reciprocal gamma
+    return cmath.exp(1j * math.pi * arr.gamma(1, 1) / h - complex(log_gamma1(z, h).sum()))
 
 
 @dataclass(frozen=True)
@@ -174,26 +178,6 @@ class RightSupportReport:
         }
 
 
-def _log_block_outer(arr: TriangularArray, m: int, N: int, h: float) -> complex:
-    """log prod_{a<=m, b<=N} gamma1(gamma_{N-1,a} - gamma_{N,b} + hbar/2)."""
-    out = 0j
-    for a in range(1, m + 1):
-        for b in range(1, N + 1):
-            w = (arr.gamma(N - 1, a) - arr.gamma(N, b) + h / 2) / h
-            out += w * math.log(h) + complex(_loggamma(w))
-    return out
-
-
-def _log_block_inner(arr: TriangularArray, m: int, h: float) -> complex:
-    """log prod_{a<=m-1, b<=m} gamma1(gamma_{m-1,a} - gamma_{m,b} + hbar/2)."""
-    out = 0j
-    for a in range(1, m):
-        for b in range(1, m + 1):
-            w = (arr.gamma(m - 1, a) - arr.gamma(m, b) + h / 2) / h
-            out += w * math.log(h) + complex(_loggamma(w))
-    return out
-
-
 def _near_pole(arr: TriangularArray, m: int, N: int, h: float, margin: float = 0.05) -> bool:
     """True when some gamma1 argument of the two product blocks is close to a pole."""
     args = []
@@ -255,13 +239,13 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
         if _near_pole(arr, m, N, h):
             continue
 
-        base_outer = _log_block_outer(arr, m, N, h)
-        base_inner = _log_block_inner(arr, m, h)
+        base_outer = _log_block(arr, N, m, h)
+        base_inner = _log_block(arr, m, m - 1, h)
 
         # (a1) outer block, shift gamma_{N-1,i} down by hbar
         for i in range(1, m + 1):
             sh = arr.shifted({(N - 1, i): -1}, h)
-            lhs = cmath.exp(_log_block_outer(sh, m, N, h) - base_outer)
+            lhs = cmath.exp(_log_block(sh, N, m, h) - base_outer)
             rhs = 1.0 + 0j
             for b in range(1, N + 1):
                 rhs /= arr.gamma(N - 1, i) - arr.gamma(N, b) - h / 2
@@ -270,7 +254,7 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
         # (a2) inner block, shift gamma_{m,i} down by hbar
         for i in range(1, m + 1):
             sh = arr.shifted({(m, i): -1}, h)
-            lhs = cmath.exp(_log_block_inner(sh, m, h) - base_inner)
+            lhs = cmath.exp(_log_block(sh, m, m - 1, h) - base_inner)
             rhs = 1.0 + 0j
             for r in range(1, m):
                 rhs *= arr.gamma(m - 1, r) - arr.gamma(m, i) + h / 2
@@ -280,7 +264,7 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
         for i in range(1, m + 1):
             for j in range(1, m):
                 sh = arr.shifted({(m, i): -1, (m - 1, j): -1}, h)
-                lhs = cmath.exp(_log_block_inner(sh, m, h) - base_inner)
+                lhs = cmath.exp(_log_block(sh, m, m - 1, h) - base_inner)
                 rhs = 1.0 + 0j
                 for r in range(1, m):
                     if r != j:

@@ -50,10 +50,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 from .errors import ConfigError, PoleError, QuadratureError
-from .gammafns import POLE_TOL, log_gamma1_value, recip_gamma1
+from .gammafns import log_gamma1, on_pole_lattice
 from .logcomplex import LogComplex
 from .spectral import ContourConfig, SpectralData
 
@@ -91,40 +90,26 @@ def integrand(gamma: Sequence[complex], s: SpectralData) -> LogComplex:
     reciprocal-gamma measure; a gamma_i - lambda_j on the pole lattice raises
     PoleError.
     """
-    gamma = [complex(g) for g in gamma]
-    if len(gamma) != s.m:
+    g = np.array([complex(v) for v in gamma])
+    if g.size != s.m:
         raise ConfigError(f"gamma must have m = {s.m} components")
     h = s.hbar
-    log_parts = 0j
-    for gi in gamma:
-        log_parts += -(s.x / h) * gi
-        for lam_j in s.lam:
-            w = (gi - lam_j) / h
-            n = round(w.real)
-            if n <= 0 and abs(w.real - n) <= POLE_TOL and abs(w.imag) <= POLE_TOL:
-                raise PoleError(
-                    f"gamma - lambda_j = {gi - lam_j} lies on the gamma1 pole lattice"
-                )
-            log_parts += log_gamma1_value(gi - lam_j, h)
-    measure = 1.0 + 0j
-    for i, gi in enumerate(gamma):
-        for k, gk in enumerate(gamma):
-            if i != k:
-                measure *= recip_gamma1(gi - gk, h)
-    if measure == 0:
+    num = g[:, None] - s.lam_array
+    poles = on_pole_lattice(num / h)
+    if poles.any():
+        raise PoleError(f"gamma - lambda_j = {num[poles][0]} lies on the gamma1 pole lattice")
+    pairs = (g[:, None] - g)[~np.eye(s.m, dtype=bool)]
+    if on_pole_lattice(pairs / h).any():
         return LogComplex.zero()
-    return LogComplex.from_log(log_parts) * LogComplex.from_complex(measure)
+    return LogComplex.from_log(complex(
+        -(s.x / h) * g.sum() + log_gamma1(num, h).sum() - log_gamma1(pairs, h).sum()))
 
 
 def _numerator_log(s: SpectralData, epsilon: float, y: np.ndarray) -> np.ndarray:
     """Per-dimension log factor A(y): exponent plus the N gamma1 numerators."""
-    h = s.hbar
     g = epsilon + 1j * y
-    A = -(s.x / h) * g
-    for lam_j in s.lam:
-        w = (g - lam_j) / h
-        A = A + w * math.log(h) + _loggamma(w)
-    return A
+    terms = log_gamma1(g - s.lam_array[:, None], s.hbar)
+    return np.vstack([-(s.x / s.hbar) * g, terms]).sum(axis=0)
 
 
 def _pair_log(s: SpectralData, y: np.ndarray) -> np.ndarray:
@@ -133,12 +118,8 @@ def _pair_log(s: SpectralData, y: np.ndarray) -> np.ndarray:
     The diagonal carries the exact zero of the measure (log = -inf).
     """
     h = s.hbar
-    d = 1j * (y[:, None] - y[None, :])
-    w = d / h
-    n = len(y)
-    eye = np.eye(n, dtype=bool)
-    safe = np.where(eye, 1.0, w)
-    C = -(safe * math.log(h) + _loggamma(safe))
+    eye = np.eye(len(y), dtype=bool)
+    C = -log_gamma1(np.where(eye, h, 1j * (y[:, None] - y[None, :])), h)
     C[eye] = -np.inf
     return C + C.T
 

@@ -23,8 +23,10 @@ Every gamma1 argument is lambda_a - lambda_b - t hbar with integer
     P[a, n]        = -(x/hbar)(lambda_a - n hbar) + (1 - n) log hbar
                      - log n! + i pi n + sum_{b != a} L[a, b, K + n],
 
-the pair table from one vectorised loggamma call, the pole table of size
-N x (K + 1) from its rows.  P already holds the first two gamma1 products
+the pair table from one gammafns.log_gamma1 call over the real differences
+(made complex only after the division by hbar), the pole table of size
+N x (K + 1) from its rows.  residue_term reads its gamma1 factors from one
+log_gamma1 call as well.  P already holds the first two gamma1 products
 above, so a term is
 
     log term(j, n) = sum_k P[j_k, n_k] - sum_{k != l} L[j_k, j_l, K + n_k - n_l].
@@ -45,9 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 from .errors import ConfigError, DomainError
+from .gammafns import log_gamma1
 from .logcomplex import LogComplex, rescaled_sum
 from .spectral import SpectralData
 
@@ -163,9 +165,7 @@ def residue_term(a: PoleAssignment, s: SpectralData) -> LogComplex:
         # canonical order keeps the value bit-identical under lambda relabeling
         factors.sort(key=lambda t: (t[0], t[1].real if isinstance(t[1], complex) else t[1]))
         signs = np.asarray([t[0] for t in factors], dtype=float)
-        w = np.asarray([t[1] for t in factors], dtype=complex) / h
-        lg = w * log_h + _loggamma(w)
-        L += complex(np.dot(signs, lg))
+        L += complex(np.dot(signs, log_gamma1(np.asarray([t[1] for t in factors], dtype=complex), h)))
     return LogComplex.from_log(L)
 
 
@@ -187,9 +187,8 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
     log_h = math.log(h)
     # pair table L[a, b, K + t] = log gamma1(lambda_a - lambda_b - t hbar), a != b
     a, b = np.nonzero(~np.eye(N, dtype=bool))
-    w = (((lam[a] - lam[b])[:, None] - np.arange(-K, K + 1) * h) / h).astype(complex)
     L = np.zeros((N, N, 2 * K + 1), dtype=complex)
-    L[a, b] = w * log_h + _loggamma(w)
+    L[a, b] = log_gamma1((lam[a] - lam[b])[:, None] - np.arange(-K, K + 1) * h, h)
     # pole table P[a, n]: the one-variable residue at lambda_a - n hbar times
     # prod_{b != a} gamma1(lambda_a - lambda_b - n hbar)
     n = np.arange(K + 1)

@@ -15,7 +15,7 @@ import pytest
 from parwhit import (SpectralData, auto_contour, eval_mb, eval_residue_series,
                      leading_asymptotic)
 from parwhit.cli import main
-from parwhit.gz import (combin1, combin2, separated_nodes, verify_left_whittaker,
+from parwhit.gz import (check_combin_identities, verify_left_whittaker,
                         verify_right_support_relations)
 from parwhit.gz.identity import check_brackets, check_build_EnN
 from parwhit.logcomplex import rescaled_sum
@@ -95,16 +95,7 @@ def test_criterion_3_asymptotics():
 
 
 def test_criterion_4_combinatorial_identities():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for n in range(2, 9):
-        for _ in range(100):
-            g = separated_nodes(rng, n)
-            for p in range(n):
-                expect = 1.0 if p == n - 1 else 0.0
-                worst = max(worst, abs(combin1(g, p) - expect))
-            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            worst = max(worst, abs(combin2(g, c) - 1.0))
+    worst = check_combin_identities(2024)
     assert worst <= 1e-11, f"worst deviation {worst:.2e}"
     _report(4, f"interpolation identities n<=8 (worst {worst:.1e})")
 

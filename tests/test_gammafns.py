@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from parwhit.errors import ConfigError, PoleError
-from parwhit.gammafns import HbarParam, gamma1, log_gamma, recip_gamma1
+from parwhit.gammafns import (POLE_TOL, gamma1, log_gamma, log_gamma1, on_pole_lattice,
+                              recip_gamma1)
 
 
-def test_hbar_param_rejects_nonpositive():
-    HbarParam(0.5)
-    for bad in (0.0, -1.0, math.nan, math.inf):
+def test_gamma1_rejects_bad_hbar():
+    gamma1(1.0, 0.5)
+    for bad in (0.0, -1.0, math.nan, math.inf, "1.0", None):
         with pytest.raises(ConfigError):
-            HbarParam(bad)
+            gamma1(1.0, bad)
+        with pytest.raises(ConfigError):
+            recip_gamma1(1.0, bad)
 
 
 def test_log_gamma_classic_values():
@@ -91,8 +94,60 @@ def test_recip_times_gamma1_is_one():
         assert abs(prod.to_complex() - 1.0) <= 1e-12
 
 
-def test_gamma1_accepts_hbar_param_wrapper():
-    assert gamma1(1.0, HbarParam(2.0)).to_complex() == pytest.approx(
-        gamma1(1.0, 2.0).to_complex(), rel=1e-15
-    )
-    assert recip_gamma1(0.0, HbarParam(1.0)) == 0j
+def test_gamma1_accepts_int_hbar():
+    assert gamma1(1.0, 2).to_complex() == gamma1(1.0, 2.0).to_complex()
+    assert recip_gamma1(0.0, 1) == 0j
+
+
+def test_log_gamma1_array_matches_elementwise_gamma1():
+    rng = np.random.default_rng(5)
+    for h in (0.45, 1.0, 1.7):
+        re = rng.uniform(-30, 30, size=400)
+        re[:100] = -np.arange(100) * h - h * rng.uniform(0.05, 0.95, size=100)  # negative reals
+        im = rng.uniform(-400, 400, size=400)
+        im[:150] = 0.0
+        im[150:200] = rng.choice([-400.0, 400.0], size=50)
+        z = (re + 1j * im).reshape(20, 20)
+        got = log_gamma1(z, h)
+        assert got.shape == z.shape
+        for zk, gk in zip(z.ravel().tolist(), got.ravel().tolist()):
+            # numpy and Python round z/hbar differently in the last bit, which
+            # moves log gamma1 by about |z/hbar| |digamma(z/hbar)| * 1e-16
+            want = gamma1(zk, h)
+            tol = 1e-14 * (1.0 + abs(gk))
+            assert gk.real == pytest.approx(want.log_mag, rel=0, abs=tol)
+            assert abs(cmath.exp(1j * (gk.imag - want.phase)) - 1.0) <= tol
+
+
+def test_on_pole_lattice_tolerance_edges():
+    inside, outside = 0.5 * POLE_TOL, 2.0 * POLE_TOL
+    for n in (0, -1, -7, -250):
+        for d in (inside, -inside, inside * 1j, -inside * 1j):
+            assert on_pole_lattice(n + d)
+        for d in (outside, -outside, outside * 1j, -outside * 1j):
+            assert not on_pole_lattice(n + d)
+    for w in (1.0, 3.0, 0.5, -0.5, -2.5 + 0j, 1e-3j):
+        assert not on_pole_lattice(complex(w))
+    w = np.array([[-3 + inside, -3 + outside], [inside * 1j, 1.0 + 0j]])
+    assert on_pole_lattice(w).tolist() == [[True, False], [True, False]]
+
+
+def test_scipy_is_imported_by_gammafns_only():
+    import ast
+    import pathlib
+
+    import parwhit
+
+    root = pathlib.Path(parwhit.__file__).parent
+    importers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.relative_to(root).as_posix())
+    assert importers == {"gammafns.py"}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from parwhit.gz import (GZMeasure, TriangularArray, adjoint, build_EnN,
+from parwhit.gz import (DifferenceOperator, GZMeasure, TriangularArray, adjoint, build_EnN,
                         commutator, coxeter_cycle, gen, random_array, twist)
 from parwhit.gz.identity import (check_brackets, check_build_EnN, check_serre,
                                  random_test_function)
@@ -174,6 +174,24 @@ class TestAdjoint:
                 arr = random_array(4, rng)
                 a, b = op.apply(f, arr), twice.apply(f, arr)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    def test_structural_adjoint_matches_per_shift_definition(self):
+        # a bare DifferenceOperator carries no structure, so its adjoint reads
+        # the whole symbol at gamma - hbar*sigma for every shift sigma
+        rng = np.random.default_rng(13)
+        N = 5
+        mu = GZMeasure(N, H)
+        w = coxeter_cycle(3, N)
+        for k in range(1, N):
+            op = twist((k + 1, k), w, N, H)
+            bare = DifferenceOperator(H, op.shifts, op.symbol)
+            fast, slow = adjoint(op, mu), adjoint(bare, mu)
+            assert set(fast.shifts) == set(slow.shifts)
+            for _ in range(3):
+                f = random_test_function(N, rng)
+                arr = random_array(N, rng)
+                a, b = fast.apply(f, arr), slow.apply(f, arr)
+                assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
 
     def test_measure_ratio_matches_direct_quotient(self):
         rng = np.random.default_rng(10)
