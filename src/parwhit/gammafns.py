@@ -42,10 +42,13 @@ POLE_TOL = 1e-12
 def log_gamma1(z, hbar: float):
     """Unchecked natural log of gamma1(z|hbar), elementwise; the caller guards poles and hbar.
 
-    z may be real: it is divided by hbar as given and only then made complex,
-    which selects the principal branch on the negative real axis.
+    z is a complex scalar or array, or a real array: that is divided by hbar
+    as reals and only then made complex, which selects the principal branch
+    on the negative real axis.
     """
-    w = np.asarray(z / hbar, dtype=complex)
+    w = z / hbar
+    if isinstance(w, np.ndarray) and w.dtype.kind == "f":
+        w = w.astype(complex)
     return w * math.log(hbar) + _loggamma(w)
 
 
