@@ -11,6 +11,10 @@ series, which ties it to the quadrature evaluator; the hbar^m factor is the
 per-variable residue of gamma1 and reduces to 1 at hbar = 1.  Coefficients
 like gamma1 at negative arguments are genuinely signed, so the coset sum is
 accumulated with sign tracking in log space.
+
+The factors come from one table of log gamma1 over the N(N-1) differences,
+built on the sorted lambda (so relabeled lambda give bit-identical values);
+a coset sums the table over rows in S and columns outside S.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ import itertools
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, PoleError
-from .gammafns import gamma1
+from .gammafns import _checked_hbar, log_gamma1, on_pole_lattice
 from .logcomplex import LogComplex, rescaled_sum
 from .spectral import SpectralData
 
@@ -34,42 +40,43 @@ def enumerate_cosets(m: int, N: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, N + 1), m))
 
 
+def _coset_logs(cosets: Sequence[Sequence[int]], lam: np.ndarray, hbar: float) -> np.ndarray:
+    """log prod_{i in S, j not in S} gamma1(lambda_i - lambda_j | hbar) for each coset S.
+
+    Raises PoleError naming the first coset and pair (in the caller's labels)
+    whose difference lands on the gamma1 pole lattice.
+    """
+    N = len(lam)
+    in_S = (np.array(cosets)[:, :, None] == np.arange(1, N + 1)).any(axis=1)
+    cross = in_S[:, :, None] & ~in_S[:, None, :]      # rows in S, columns outside
+    diff = lam[:, None] - lam
+    c, i, j = np.nonzero(cross & on_pole_lattice(diff / hbar))
+    if c.size:
+        raise PoleError(f"coset {tuple(cosets[c[0]])}: lambda_{i[0] + 1} - lambda_{j[0] + 1} = "
+                        f"{diff[i[0], j[0]]:.6g} sits on a gamma1 pole")
+    order = np.argsort(lam, kind="stable")
+    diff, cross = diff[order][:, order], cross[:, order][:, :, order]
+    off = ~np.eye(N, dtype=bool)
+    table = np.zeros((N, N), dtype=complex)
+    table[off] = log_gamma1(diff[off], hbar)
+    return np.where(cross, table, 0.0).sum(axis=(1, 2))
+
+
 def coset_coefficient(S: Sequence[int], lam: Sequence[float], hbar: float) -> LogComplex:
     """prod_{i in S, j not in S} gamma1(lambda_i - lambda_j | hbar).
 
     Raises PoleError (naming the pair) when some lambda_i - lambda_j with
     i in S, j outside lands on the gamma1 pole lattice.
     """
-    S = tuple(S)
-    N = len(lam)
-    args = []
-    for i in S:
-        for j in range(1, N + 1):
-            if j in S:
-                continue
-            try:
-                gamma1(lam[i - 1] - lam[j - 1], hbar)
-            except PoleError as exc:
-                raise PoleError(
-                    f"coset {S}: lambda_{i} - lambda_{j} = {lam[i - 1] - lam[j - 1]:.6g} "
-                    f"sits on a gamma1 pole"
-                ) from exc
-            args.append(lam[i - 1] - lam[j - 1])
-    out = LogComplex.from_real(1.0)
-    # canonical order keeps the product bit-identical under lambda relabeling
-    for z in sorted(args):
-        out = out * gamma1(z, hbar)
-    return out
+    logs = _coset_logs([tuple(S)], np.asarray(lam, dtype=float), _checked_hbar(hbar))
+    return LogComplex.from_log(complex(logs[0]))
 
 
 def leading_asymptotic(s: SpectralData) -> LogComplex:
     """m! * hbar^m * sum over cosets of the exponential-weighted coefficients."""
     h = s.hbar
-    pref = LogComplex.from_real(float(math.factorial(s.m))) * LogComplex.from_log(
-        complex(s.m * math.log(h), 0.0)
-    )
-    terms = []
-    for S in enumerate_cosets(s.m, s.N):
-        expo = -(s.x / h) * math.fsum(sorted(s.lam[i - 1] for i in S))
-        terms.append(LogComplex.from_log(complex(expo, 0.0)) * coset_coefficient(S, s.lam, h))
-    return pref * rescaled_sum(terms)
+    cosets = enumerate_cosets(s.m, s.N)
+    expo = [-(s.x / h) * math.fsum(s.lam[i - 1] for i in S) for S in cosets]
+    log_pref = math.log(math.factorial(s.m)) + s.m * math.log(h)
+    logs = _coset_logs(cosets, s.lam_array, h) + expo + log_pref
+    return rescaled_sum(LogComplex.from_log(complex(v)) for v in logs)

@@ -97,17 +97,12 @@ class RunConfig:
                             x=self.x if x is None else x)
 
     def contour(self, s: SpectralData) -> ContourConfig:
-        overrides = (self.epsilon, self.half_extent, self.nodes_per_dim)
-        if all(v is not None for v in overrides):
-            return ContourConfig(self.epsilon, self.half_extent, self.nodes_per_dim)
-        if all(v is None for v in overrides):
-            return auto_contour(s, self.tol)
-        auto = auto_contour(s, self.tol)
-        return ContourConfig(
-            epsilon=self.epsilon if self.epsilon is not None else auto.epsilon,
-            half_extent=self.half_extent if self.half_extent is not None else auto.half_extent,
-            nodes_per_dim=self.nodes_per_dim if self.nodes_per_dim is not None else auto.nodes_per_dim,
-        )
+        """The override fields, any left unset filled from one auto_contour search."""
+        overrides = {k: getattr(self, k) for k in ("epsilon", "half_extent", "nodes_per_dim")
+                     if getattr(self, k) is not None}
+        if len(overrides) == 3:
+            return ContourConfig(**overrides)
+        return dataclasses.replace(auto_contour(s, self.tol), **overrides)
 
     @classmethod
     def field_names(cls) -> set[str]:
@@ -186,16 +181,12 @@ def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex,
     return value, rec
 
 
-def _evaluate_all(cfg: RunConfig, s: SpectralData,
-                  methods: list[str]) -> tuple[dict[str, LogComplex], list[dict]]:
-    values, records = {}, []
-    for method in methods:
-        values[method], rec = _evaluate(cfg, s, method)
-        records.append(rec.to_dict())
-    return values, records
-
-
-def _methods(cfg: RunConfig) -> list[str]:
+def _value_methods(cfg: RunConfig, x: float) -> list[str]:
+    """The evaluators a value command runs at x, in record order."""
+    if cfg.command == "asympt":
+        return ["asymptotic"]
+    if cfg.command == "xval":
+        return ["mb", "residue", "asymptotic"] if x < 0 else ["mb", "asymptotic"]
     return ["mb", "residue"] if cfg.method == "both" else [cfg.method]
 
 
@@ -208,38 +199,34 @@ def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
     return math.exp(diff.log_mag - a.log_mag) if not diff.is_zero else 0.0
 
 
-def cmd_eval(cfg: RunConfig) -> dict:
-    values, records = _evaluate_all(cfg, cfg.spectral(), _methods(cfg))
-    out = {"schema": SCHEMA_VERSION, "command": "eval", "records": records}
-    if len(values) == 2:
-        out["discrepancy"] = _rel_discrepancy(values["mb"], values["residue"])
-    return out
-
-
-def cmd_asympt(cfg: RunConfig) -> dict:
-    _, records = _evaluate_all(cfg, cfg.spectral(), ["asymptotic"])
-    return {"schema": SCHEMA_VERSION, "command": "asympt", "records": records}
-
-
-def cmd_xval(cfg: RunConfig) -> dict:
+def cmd_value(cfg: RunConfig) -> dict:
+    """eval, asympt and xval: one record per method and the pairwise discrepancies."""
     s = cfg.spectral()
-    methods = ["mb", "residue", "asymptotic"] if s.x < 0 else ["mb", "asymptotic"]
-    values, records = _evaluate_all(cfg, s, methods)
+    values, records = {}, []
+    for method in _value_methods(cfg, s.x):
+        values[method], rec = _evaluate(cfg, s, method)
+        records.append(rec.to_dict())
     discrepancies = {f"{a}/{b}": _rel_discrepancy(values[a], values[b])
                      for a, b in itertools.combinations(values, 2)}
-    return {"schema": SCHEMA_VERSION, "command": "xval",
-            "records": records, "discrepancies": discrepancies}
+    out = {"schema": SCHEMA_VERSION, "command": cfg.command, "records": records}
+    if cfg.command == "xval":
+        out["discrepancies"] = discrepancies
+    elif discrepancies:
+        out["discrepancy"] = discrepancies["mb/residue"]
+    return out
 
 
 def cmd_sweep(cfg: RunConfig) -> dict:
     rows = []
     for x in cfg.x_grid:
-        for method in _methods(cfg):
+        asym = None     # shared by the method rows of this x
+        for method in _value_methods(cfg, x):
             row = {"x": x, "method": method}
             try:
                 s = cfg.spectral(x=x)
                 value, rec = _evaluate(cfg, s, method)
-                asym, _ = _evaluate(cfg, s, "asymptotic")
+                if asym is None:
+                    asym = leading_asymptotic(s)
                 ratio = value / asym
                 row.update(rec.value)
                 row["error_estimate"] = rec.error_estimate
@@ -353,13 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "eval": cmd_eval,
-    "asympt": cmd_asympt,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "xval": cmd_xval,
-}
+#: commands other than the value commands (eval, asympt, xval)
+_DISPATCH = {"verify": cmd_verify, "sweep": cmd_sweep}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -377,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         cli["x_grid"] = _parse_float_list(cli["x_grid"])
     try:
         cfg = RunConfig.from_sources(cli, config_path)
-        payload = _DISPATCH[cfg.command](cfg)
+        payload = _DISPATCH.get(cfg.command, cmd_value)(cfg)
         _emit(payload, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -45,13 +45,14 @@ offset adaptively so the cancellation stays within double-precision reach.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PoleError, QuadratureError
+from .errors import ConfigError, DeskScaleError, PoleError, QuadratureError
 from .gammafns import log_gamma1, on_pole_lattice
 from .logcomplex import LogComplex
 from .spectral import ContourConfig, SpectralData
@@ -67,6 +68,9 @@ _CANCEL_BUDGET = 10.0
 
 _PROBE_NODES = 33
 _GROWTH = 1.5
+
+#: largest quadrature dimension supported by the 33^m contour probe of auto_contour
+MAX_QUAD_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ def eval_mb(
     estimate exceeds max_rel_err the quadrature is reported as non-converged
     (QuadratureError); pass max_rel_err=None to disable the check.
     """
-    s.require_quad_dim()
+    require_quad_dim(s)
     c.validate_for(s)
     m, h = s.m, s.hbar
 
@@ -192,6 +196,14 @@ def eval_mb(
     return MBResult(value, err, c)
 
 
+def require_quad_dim(s: SpectralData) -> None:
+    """Refuse m > MAX_QUAD_DIM, where the 33^m probe of auto_contour is out of desk scale."""
+    if s.m > MAX_QUAD_DIM:
+        raise DeskScaleError(
+            f"m = {s.m} exceeds the desk-scale limit ({MAX_QUAD_DIM}) of the quadrature contour probe"
+        )
+
+
 def _contour_offset(s: SpectralData) -> float:
     """Offset of the contour above max(lambda).
 
@@ -219,7 +231,7 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     """
     if not (tol > 0):
         raise ConfigError(f"tol must be > 0, got {tol}")
-    s.require_quad_dim()
+    require_quad_dim(s)
     m, h = s.m, s.hbar
     if s.N < 2 * m - 1:
         # |y_i| -> inf: the numerators decay like e^{-N pi |y| / (2 hbar)}, the
@@ -239,27 +251,18 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
             )
         y = np.linspace(-T, T, _PROBE_NODES)
         A = _numerator_log(s, eps, y).real
-        if m == 1:
-            R = A
-        else:
+        # R = sum_i A(y_i) + sum_{i<k} Q(y_i, y_k) on the probe cube, added in that order
+        R = 0.0
+        for i in range(m):
+            R = R + np.expand_dims(A, [a for a in range(m) if a != i])
+        if m > 1:
             Q = _pair_log(s, y).real
-            if m == 2:
-                R = A[:, None] + A[None, :] + Q
-            else:
-                R = (
-                    A[:, None, None] + A[None, :, None] + A[None, None, :]
-                    + Q[:, :, None] + Q[:, None, :] + Q[None, :, :]
-                )
-        finite = np.isfinite(R)
-        bmask = np.zeros(R.shape, dtype=bool)
-        for ax in range(m):
-            sl = [slice(None)] * m
-            sl[ax] = 0
-            bmask[tuple(sl)] = True
-            sl[ax] = _PROBE_NODES - 1
-            bmask[tuple(sl)] = True
-        gmax = float(np.max(np.where(finite, R, -np.inf)))
-        bmax = float(np.max(np.where(bmask & finite, R, -np.inf)))
+            for i, k in itertools.combinations(range(m), 2):
+                R = R + np.expand_dims(Q, [a for a in range(m) if a not in (i, k)])
+        R = np.where(np.isfinite(R), R, -np.inf)
+        gmax = float(R.max())
+        # the truncation boundary: some y_i at an end node
+        bmax = max(float(np.take(R, [0, -1], axis=i).max()) for i in range(m))
         if bmax <= math.log(tol) + gmax:
             break
         T *= _GROWTH

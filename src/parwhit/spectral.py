@@ -8,15 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DeskScaleError, GenericityError
+from .errors import ConfigError, GenericityError
 
 __all__ = ["SpectralData", "ContourConfig", "GENERICITY_MARGIN"]
 
 #: minimal distance of lambda_i - lambda_j from hbar*Z, in units of hbar
 GENERICITY_MARGIN = 1e-6
-
-#: largest quadrature dimension supported by the 33^m contour probe of auto_contour
-MAX_QUAD_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -74,12 +71,6 @@ class SpectralData:
                         f"lambda_{i + 1} - lambda_{j + 1} = {self.lam[i] - self.lam[j]:.6g} "
                         f"is within {margin:g}*hbar of {round(d)}*hbar"
                     )
-
-    def require_quad_dim(self) -> None:
-        if self.m > MAX_QUAD_DIM:
-            raise DeskScaleError(
-                f"m = {self.m} exceeds the desk-scale limit ({MAX_QUAD_DIM}) of the quadrature contour probe"
-            )
 
 
 @dataclass(frozen=True)

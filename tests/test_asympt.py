@@ -83,6 +83,21 @@ class TestLeadingAsymptotic:
             ratio = (mb.value / leading_asymptotic(s)).to_complex()
             assert abs(ratio - 1.0) <= 1e-3
 
+    def test_one_gamma1_table_per_call(self, monkeypatch):
+        # the N(N-1) differences lambda_a - lambda_b are evaluated once, not per coset pair
+        import parwhit.gammafns as gammafns
+        points = []
+        loggamma = gammafns._loggamma
+
+        def counted(w):
+            points.append(np.size(w))
+            return loggamma(w)
+
+        monkeypatch.setattr(gammafns, "_loggamma", counted)
+        s = SpectralData(3, 6, (1.31, 0.86, 0.37, -0.08, -0.61, -1.17), 1.0, -4.0)
+        leading_asymptotic(s)
+        assert 0 < sum(points) <= 6 * 5
+
     def test_m1_reduces_to_n_term_sum(self):
         s = SpectralData(1, 3, (0.7, 0.0, -0.9), 1.0, -2.0)
         assert len(enumerate_cosets(s.m, s.N)) == 3

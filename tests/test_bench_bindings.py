@@ -1,0 +1,69 @@
+"""The benchmark under perfbench/ binds library names; a missing one fails here.
+
+perfbench/tracing.py rebinds public functions (and scipy's loggamma where
+gammafns calls it as `_loggamma`) in the loaded parwhit modules, and
+perfbench/worker.py calls the library through module attributes.  Both are
+loaded by path and run on each workload's reduced call set; nothing under
+perfbench/ is written.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+import parwhit
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(parwhit.__file__)))
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench's tracing, worker and workloads modules, loaded without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)     # worker.py imports settle by name
+    mods = {}
+    for name in ("tracing", "worker", "workloads"):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                      os.path.join(PERFBENCH, f"{name}.py"))
+        mods[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mods[name])
+    return mods
+
+
+def test_tracer_binds_and_worker_runs_every_workload(bench):
+    tracing, worker, workloads = bench["tracing"], bench["worker"], bench["workloads"]
+    runner = worker.Runner(in_process=True)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name in workloads.WORKLOADS:
+            for call in workloads.build(name, 801, smoke=True):
+                getattr(runner, call["kind"])(call)
+    finally:
+        tracer.uninstall()
+    spans = tracer.self_times()
+    for name in ("mbquad.eval_mb", "mbquad.auto_contour", "residues.eval_residue_series",
+                 "gammafns.loggamma", "asympt.leading_asymptotic", "cli.main",
+                 "spectral.require_generic", "gz.check_brackets", "gz.apply"):
+        assert spans[name][1] > 0, name
+    for name in ("mbquad.nodes", "residues.orders", "gammafns.loggamma.points"):
+        assert tracer.counters[name] > 0, name
+    # uninstall restores every binding
+    for modname, mod in list(sys.modules.items()):
+        if modname == "parwhit" or modname.startswith("parwhit."):
+            assert not [k for k, v in vars(mod).items() if hasattr(v, "__wrapped__")], modname
+
+
+def test_cli_import_loads_scipy_special():
+    # run.py times `import parwhit.cli` with -X importtime and needs scipy.special in it
+    code = "import sys, parwhit.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "True"

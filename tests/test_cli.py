@@ -165,6 +165,30 @@ class TestXval:
         methods = {r["method"] for r in payload["records"]}
         assert methods == {"mb", "residue", "asymptotic"}
 
+    def test_xval_and_sweep_agree_with_eval_and_asympt(self, capsys):
+        from parwhit import LogComplex
+        inst = ("--m", "2", "--N", "4", "--lambda", "0.9,0.4,-0.3,-1.15")
+        _, out = run(capsys, "eval", *inst, "--x", "-4", "--method", "both")
+        ev = json.loads(out)
+        _, out = run(capsys, "xval", *inst, "--x", "-4", "--method", "both")
+        xv = json.loads(out)
+        _, out = run(capsys, "asympt", *inst, "--x", "-4")
+        asym = json.loads(out)["records"][0]["value"]
+        _, out = run(capsys, "sweep", *inst, "--x-grid=-4", "--method", "both")
+        rows = json.loads(out)["rows"]
+
+        def timeless(records):
+            return [dict(r, wall_time=0.0) for r in records]
+
+        assert timeless(xv["records"][:2]) == timeless(ev["records"])
+        assert xv["records"][2]["method"] == "asymptotic"
+        assert xv["discrepancies"]["mb/residue"] == ev["discrepancy"]
+        assert [r["method"] for r in rows] == ["mb", "residue"]
+        for row in rows:
+            ratio = (LogComplex(row["log_mag"], row["phase"])
+                     / LogComplex(asym["log_mag"], asym["phase"]))
+            assert row["ratio_to_asymptotic"] == math.exp(ratio.log_mag) * math.cos(ratio.phase)
+
 
 class TestVerify:
     def test_default_passes_and_deterministic(self, capsys):
