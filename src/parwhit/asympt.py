@@ -68,6 +68,8 @@ def coset_coefficient(S: Sequence[int], lam: Sequence[float], hbar: float) -> Lo
     Raises PoleError (naming the pair) when some lambda_i - lambda_j with
     i in S, j outside lands on the gamma1 pole lattice.
     """
+    if not set(S) <= set(range(1, len(lam) + 1)):
+        raise ConfigError(f"coset {tuple(S)} needs indices in 1..{len(lam)}")
     logs = _coset_logs([tuple(S)], np.asarray(lam, dtype=float), _checked_hbar(hbar))
     return LogComplex.from_log(complex(logs[0]))
 

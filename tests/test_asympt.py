@@ -5,7 +5,7 @@ import pytest
 
 from parwhit import (SpectralData, auto_contour, coset_coefficient,
                      enumerate_cosets, eval_mb, leading_asymptotic)
-from parwhit.errors import PoleError
+from parwhit.errors import ConfigError, PoleError
 from parwhit.logcomplex import rescaled_sum
 from parwhit.residues import PoleAssignment, residue_term
 import itertools
@@ -37,6 +37,11 @@ class TestCosetCoefficient:
         coset_coefficient((1,), (1.0, 0.0), 1.0)  # Gamma(1), fine
         with pytest.raises(PoleError, match="lambda_1 - lambda_2"):
             coset_coefficient((1,), (0.0, 1.0), 1.0)  # Gamma(-1)
+
+    def test_indices_checked(self):
+        for S in [(0,), (3,)]:
+            with pytest.raises(ConfigError, match="indices in 1..2"):
+                coset_coefficient(S, (0.5, 0.0), 1.0)
 
 
 class TestLeadingAsymptotic:
