@@ -182,7 +182,7 @@ def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex,
 
 
 def _value_methods(cfg: RunConfig, x: float) -> list[str]:
-    """The evaluators a value command runs at x, in record order."""
+    """The evaluators a command runs at x, in record order (sweep takes eval's list)."""
     if cfg.command == "asympt":
         return ["asymptotic"]
     if cfg.command == "xval":
