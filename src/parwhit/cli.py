@@ -21,6 +21,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -48,6 +49,19 @@ SCHEMA_VERSION = 1
 _METHODS = ("mb", "residue", "both")
 _FORMATS = ("json", "csv")
 _COMMANDS = ("eval", "asympt", "verify", "sweep", "xval")
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+#: value checks by RunConfig field annotation
+_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": _is_real,
+    "tuple[float, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)),
+}
 
 
 @dataclass
@@ -80,6 +94,12 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
+        # field annotations double as the type schema (config-file values arrive unchecked)
+        for f in dataclasses.fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            v = getattr(self, f.name)
+            if not (v is None and optional or _CHECKS[kind](v)):
+                raise ConfigError(f"{f.name} must be {kind}{' or null' if optional else ''}, got {v!r}")
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.method not in _METHODS:
@@ -88,8 +108,7 @@ class RunConfig:
             raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
         if self.lam is not None:
             self.lam = tuple(float(v) for v in self.lam)
-        if self.x_grid is not None:
-            self.x_grid = tuple(float(v) for v in self.x_grid)
+        self.x_grid = tuple(float(v) for v in self.x_grid)
 
     def spectral(self, x: float | None = None) -> SpectralData:
         lam = self.lam if self.lam is not None else tuple(0.0 for _ in range(self.N))

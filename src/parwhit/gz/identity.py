@@ -18,7 +18,7 @@ from .arrays import TriangularArray, random_array
 from .operators import DifferenceOperator, build_EnN, commutator, gen
 
 __all__ = ["random_test_function", "operator_deviation", "check_brackets",
-           "check_serre", "check_build_EnN", "BracketCheck"]
+           "check_build_EnN", "BracketCheck"]
 
 
 def random_test_function(N: int, rng: np.random.Generator):
@@ -71,20 +71,6 @@ def check_brackets(N: int, hbar: float, n_functions: int, n_arrays: int,
         rhs = gen("cartan", n, N, hbar) - gen("cartan", n + 1, N, hbar)
         dev = operator_deviation(lhs, rhs, N, rng, n_functions, n_arrays)
         out.append(BracketCheck(f"[E{n}{n + 1},E{n + 1}{n}]=E{n}{n}-E{n + 1}{n + 1}", dev))
-    return out
-
-
-def check_serre(N: int, hbar: float, n_functions: int, n_arrays: int,
-                seed: int) -> list[BracketCheck]:
-    """[E_{n,n+1}, E_{k,k+1}] = 0 for |n - k| >= 2 (spot checks)."""
-    rng = np.random.default_rng(seed)
-    zero = DifferenceOperator(hbar, (), lambda arr: {})
-    out = []
-    for n in range(1, N):
-        for k in range(n + 2, N):
-            lhs = commutator(gen("raise", n, N, hbar), gen("raise", k, N, hbar))
-            dev = operator_deviation(lhs, zero, N, rng, n_functions, n_arrays)
-            out.append(BracketCheck(f"[E{n}{n + 1},E{k}{k + 1}]=0", dev))
     return out
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,15 +80,7 @@ class LeftWhittakerReport:
     deviations: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "suite": "left-whittaker",
-            "m": self.m, "N": self.N, "hbar": self.hbar,
-            "samples": self.samples, "seed": self.seed, "tol": self.tol,
-            "passed": self.passed, "max_deviation": self.max_deviation,
-            "signs": list(self.signs),
-            "labels": [list(l) for l in self.labels],
-            "deviations": list(self.deviations),
-        }
+        return {"suite": "left-whittaker", **asdict(self)}
 
 
 def _finite(z: complex) -> bool:
@@ -168,33 +160,16 @@ class RightSupportReport:
     check_deviations: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": "right-support",
-            "m": self.m, "N": self.N, "hbar": self.hbar,
-            "samples": self.samples, "seed": self.seed, "tol": self.tol,
-            "passed": self.passed, "max_deviation": self.max_deviation,
-            "constant_sign": self.constant_sign,
-            "check_deviations": dict(self.check_deviations),
-        }
+        return {"suite": "right-support", **asdict(self)}
 
 
 def _near_pole(arr: TriangularArray, m: int, N: int, h: float, margin: float = 0.05) -> bool:
-    """True when some gamma1 argument of the two product blocks is close to a pole."""
-    args = []
-    for a in range(1, m + 1):
-        for b in range(1, N + 1):
-            args.append(arr.gamma(N - 1, a) - arr.gamma(N, b) + h / 2)
-            args.append(arr.gamma(N - 1, a) - arr.gamma(N, b) - h / 2)   # shifted variants
-    for a in range(1, m):
-        for b in range(1, m + 1):
-            args.append(arr.gamma(m - 1, a) - arr.gamma(m, b) + h / 2)
-            args.append(arr.gamma(m - 1, a) - arr.gamma(m, b) - h / 2)
-    for z in args:
-        w = z / h
-        k = round(w.real)
-        if k <= 1 and abs(w - k) < margin:
-            return True
-    return False
+    """True when some gamma1 argument of the two product blocks, or that argument
+    shifted down by hbar, is close to a pole."""
+    z = np.concatenate([_block_args(arr, N, m, h), _block_args(arr, m, m - 1, h)])
+    w = np.concatenate([z, z - h]) / h
+    k = np.round(w.real)
+    return bool(((k <= 1) & (np.abs(w - k) < margin)).any())
 
 
 def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int = 0,

@@ -33,11 +33,11 @@ above, so a term is
 
 Order-n terms carry e^{x n}, so the series is summed by increasing total
 order with geometric tail control; it is only offered for x < 0.  Each order
-is one numpy block over the permutations x compositions index arrays of
-_order_blocks (m^2 table gathers), exponentiated against the block maximum
-and summed with math.fsum.  lambda is sorted once, after the genericity
-check has named any offending pair in the caller's labels, so relabeled
-lambda give bit-identical tables and values.
+is one numpy block over the permutations x compositions index arrays
+(m^2 table gathers), exponentiated against the block maximum and summed
+with math.fsum.  lambda is sorted once, after the genericity check has
+named any offending pair in the caller's labels, so relabeled lambda give
+bit-identical tables and values.
 """
 
 from __future__ import annotations
@@ -53,34 +53,9 @@ from .gammafns import log_gamma1
 from .logcomplex import LogComplex, rescaled_sum
 from .spectral import SpectralData
 
-__all__ = ["PoleAssignment", "SeriesConfig", "SeriesResult",
-           "enumerate_terms", "residue_term", "eval_residue_series"]
+__all__ = ["SeriesConfig", "SeriesResult", "residue_term", "eval_residue_series"]
 
 MAX_ORDER_CAP = 60
-
-
-@dataclass(frozen=True)
-class PoleAssignment:
-    """One pole of the residue lattice: gamma_k = lambda_{j_k} - n_k * hbar.
-
-    j holds m distinct 1-based indices into lambda; n the nonnegative shift
-    counts.  order = sum(n).
-    """
-
-    j: tuple[int, ...]
-    n: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.j) != len(self.n):
-            raise ConfigError("j and n must have equal length")
-        if len(set(self.j)) != len(self.j):
-            raise ConfigError(f"repeated lambda index in {self.j} (term vanishes identically)")
-        if any(k < 0 for k in self.n):
-            raise ConfigError("shift counts must be >= 0")
-
-    @property
-    def order(self) -> int:
-        return sum(self.n)
 
 
 @dataclass(frozen=True)
@@ -103,69 +78,33 @@ class SeriesResult:
     terms: int                    # pole terms summed over those orders
 
 
-def _order_blocks(N: int, m: int, max_order: int):
-    """Yield (order, perms, comps) for order = 0, 1, ..., max_order.
+def residue_term(j: tuple[int, ...], n: tuple[int, ...], s: SpectralData) -> LogComplex:
+    """Iterated residue at the pole gamma_k = lambda_{j_k} - n_k hbar, in log form.
 
-    perms is the (N!/(N-m)!, m) array of ordered m-tuples of distinct 0-based
-    lambda indices, comps the (C(order+m-1, m-1), m) array of compositions of
-    order into m nonnegative parts (read off the m-1 bar positions of each
-    stars-and-bars combination); both in lexicographic order.  The terms of
-    one order are the pairs (perms[p], comps[c]).
-    """
-    perms = np.array(list(itertools.permutations(range(N), m)), dtype=np.intp)
-    for order in range(max_order + 1):
-        bars = np.array(list(itertools.combinations(range(order + m - 1), m - 1)),
-                        dtype=np.intp, ndmin=2)
-        yield order, perms, np.diff(bars, axis=1, prepend=-1, append=order + m - 1) - 1
-
-
-def enumerate_terms(s: SpectralData, cfg: SeriesConfig) -> list[PoleAssignment]:
-    """All pole assignments with distinct j and order <= max_order.
-
-    Ordered by increasing order, then lexicographically in (j, n); the count
-    per order is m! * C(N, m) * (#compositions of the order into m parts).
+    j holds m distinct 1-based indices into lambda, n the m shift counts >= 0.
     """
     s.require_generic()
-    return [PoleAssignment(j=tuple(k + 1 for k in js), n=tuple(ns))
-            for _, perms, comps in _order_blocks(s.N, s.m, cfg.max_order)
-            for js in perms.tolist() for ns in comps.tolist()]
-
-
-def residue_term(a: PoleAssignment, s: SpectralData) -> LogComplex:
-    """Iterated residue at the pole a, in log form."""
-    s.require_generic()
-    m, h = s.m, s.hbar
-    if len(a.j) != m or any(not 1 <= jk <= s.N for jk in a.j):
-        raise ConfigError(f"assignment indices {a.j} out of range for N = {s.N}")
-    lam = s.lam
+    m, h, lam = s.m, s.hbar, s.lam
+    if (len(j) != m or len(n) != m or len(set(j)) != m or min(n) < 0
+            or not all(1 <= jk <= s.N for jk in j)):
+        raise ConfigError(f"a pole needs m = {m} distinct indices in 1..{s.N} and m shift "
+                          f"counts >= 0, got j = {j}, n = {n}")
     log_h = math.log(h)
-
     L = 0j
-    for k in range(m):
-        lam_k = lam[a.j[k] - 1]
-        nk = a.n[k]
+    factors = []
+    for jk, nk in zip(j, n):
+        lam_k = lam[jk - 1]
         L += -(s.x / h) * (lam_k - nk * h)
         L += (1 - nk) * log_h - math.lgamma(nk + 1)
         L += 1j * math.pi * nk            # the (-1)^n of the gamma residue
-
-    factors = []
-    for k in range(m):
-        lam_k = lam[a.j[k] - 1]
-        for j in range(1, s.N + 1):
-            if j in a.j:
-                continue
-            factors.append((+1, lam_k - lam[j - 1] - a.n[k] * h))
-        for l in range(m):
-            if l == k:
-                continue
-            lam_l = lam[a.j[l] - 1]
-            factors.append((+1, lam_k - lam_l - a.n[k] * h))
-            factors.append((-1, lam_k - lam_l - (a.n[k] - a.n[l]) * h))
-    if factors:
-        # canonical order keeps the value bit-identical under lambda relabeling
-        factors.sort(key=lambda t: (t[0], t[1].real if isinstance(t[1], complex) else t[1]))
-        signs = np.asarray([t[0] for t in factors], dtype=float)
-        L += complex(np.dot(signs, log_gamma1(np.asarray([t[1] for t in factors], dtype=complex), h)))
+        factors += [(+1, lam_k - lam[i - 1] - nk * h) for i in range(1, s.N + 1) if i not in j]
+        for jl, nl in zip(j, n):
+            if jl != jk:
+                factors += [(+1, lam_k - lam[jl - 1] - nk * h),
+                            (-1, lam_k - lam[jl - 1] - (nk - nl) * h)]
+    # canonical order keeps the value bit-identical under lambda relabeling
+    signs, z = zip(*sorted(factors))
+    L += complex(np.dot(np.asarray(signs, dtype=float), log_gamma1(np.asarray(z, dtype=complex), h)))
     return LogComplex.from_log(L)
 
 
@@ -196,6 +135,10 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
     P = (-(s.x / h) * (lam[:, None] - n * h) + (1 - n) * log_h - log_fact + 1j * math.pi * n
          + L[:, :, K:].sum(axis=1))
 
+    # the terms of one order pair each ordered m-tuple of distinct 0-based lambda
+    # indices (perms) with each composition of the order into m parts (comps),
+    # both in lexicographic order
+    perms = np.array(list(itertools.permutations(range(N), m)), dtype=np.intp)
     running: list[LogComplex] = []
     total = LogComplex.zero()
     last_rel = math.inf
@@ -203,7 +146,11 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
     orders = 0
     n_terms = 0
     peak = -math.inf
-    for order, perms, comps in _order_blocks(N, m, K):
+    for order in range(K + 1):
+        # compositions read off the m - 1 bar positions of each stars-and-bars combination
+        bars = np.array(list(itertools.combinations(range(order + m - 1), m - 1)),
+                        dtype=np.intp, ndmin=2)
+        comps = np.diff(bars, axis=1, prepend=-1, append=order + m - 1) - 1
         # log term(j, n) = sum_k P[j_k, n_k] - sum_{k != l} L[j_k, j_l, K + n_k - n_l]
         lg = np.zeros((len(perms), len(comps)), dtype=complex)
         for k in range(m):

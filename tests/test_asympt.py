@@ -7,7 +7,7 @@ from parwhit import (SpectralData, auto_contour, coset_coefficient,
                      enumerate_cosets, eval_mb, leading_asymptotic)
 from parwhit.errors import ConfigError, PoleError
 from parwhit.logcomplex import rescaled_sum
-from parwhit.residues import PoleAssignment, residue_term
+from parwhit.residues import residue_term
 import itertools
 
 SQRT_PI = math.sqrt(math.pi)
@@ -64,7 +64,7 @@ class TestLeadingAsymptotic:
             if min(abs(np.diff(lam))) < 0.25:
                 continue
             s = SpectralData(m, N, tuple(lam), float(rng.uniform(0.6, 1.6)), float(rng.uniform(-6, -1)))
-            terms = [residue_term(PoleAssignment(js, (0,) * m), s)
+            terms = [residue_term(js, (0,) * m, s)
                      for js in itertools.permutations(range(1, N + 1), m)]
             order0 = rescaled_sum(terms)
             asym = leading_asymptotic(s)

@@ -29,6 +29,24 @@ class TestRunConfig:
         cfg = RunConfig.from_sources({"command": "eval", "x": -2.0}, str(p))
         assert cfg.x == -2.0 and cfg.N == 3
 
+    @pytest.mark.parametrize("argv,cfg", [
+        (["sweep"], {"x_grid": None}),
+        (["eval"], {"hbar": None}),
+        (["eval"], {"hbar": "1"}),
+        (["eval"], {"x": "a"}),
+        (["eval"], {"tol": None}),
+        (["eval"], {"lam": [1, "a"]}),
+        (["verify", "--m", "2", "--N", "3"], {"seed": None}),
+        (["verify", "--m", "2", "--N", "3"], {"samples": None}),
+        (["verify", "--m", "2", "--N", "3"], {"perturb_psi_l": None}),
+    ])
+    def test_mistyped_config_values_exit2(self, tmp_path, capsys, argv, cfg):
+        # a wrong-typed file value is a config error, not a traceback from deep inside a command
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(argv + ["--config", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {next(iter(cfg))} must be")
+
     def test_bad_method(self):
         with pytest.raises(ConfigError):
             RunConfig(command="eval", method="simpson")

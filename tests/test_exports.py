@@ -1,0 +1,12 @@
+"""Every name a public module lists in __all__ resolves on it, so `import *` cannot break."""
+
+import importlib
+
+import pytest
+
+
+@pytest.mark.parametrize("modname", ["parwhit", "parwhit.residues", "parwhit.gz",
+                                     "parwhit.gz.identity"])
+def test_all_names_resolve(modname):
+    mod = importlib.import_module(modname)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

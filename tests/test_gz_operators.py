@@ -7,8 +7,8 @@ import pytest
 
 from parwhit.gz import (DifferenceOperator, GZMeasure, TriangularArray, adjoint, build_EnN,
                         commutator, coxeter_cycle, gen, random_array, twist)
-from parwhit.gz.identity import (check_brackets, check_build_EnN, check_serre,
-                                 random_test_function)
+from parwhit.gz.identity import (BracketCheck, check_brackets, check_build_EnN,
+                                 operator_deviation, random_test_function)
 from parwhit.errors import ConfigError
 
 H = 1.1
@@ -16,6 +16,20 @@ H = 1.1
 
 def const_one(arr):
     return 1.0 + 0j
+
+
+def check_serre(N: int, hbar: float, n_functions: int, n_arrays: int,
+                seed: int) -> list[BracketCheck]:
+    """[E_{n,n+1}, E_{k,k+1}] = 0 for |n - k| >= 2 (spot checks)."""
+    rng = np.random.default_rng(seed)
+    zero = DifferenceOperator(hbar, (), lambda arr: {})
+    out = []
+    for n in range(1, N):
+        for k in range(n + 2, N):
+            lhs = commutator(gen("raise", n, N, hbar), gen("raise", k, N, hbar))
+            dev = operator_deviation(lhs, zero, N, rng, n_functions, n_arrays)
+            out.append(BracketCheck(f"[E{n}{n + 1},E{k}{k + 1}]=0", dev))
+    return out
 
 
 class TestGenerators:

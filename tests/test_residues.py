@@ -1,10 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from parwhit import (PoleAssignment, SeriesConfig, SpectralData, auto_contour,
-                     enumerate_terms, eval_mb, eval_residue_series,
+from parwhit import (SeriesConfig, SpectralData, auto_contour, eval_mb, eval_residue_series,
                      leading_asymptotic, residue_term)
 from parwhit.errors import ConfigError, DomainError, GenericityError
 from parwhit.logcomplex import rescaled_sum
@@ -16,48 +16,33 @@ def make(m, N, lam, hbar=1.0, x=-3.0):
     return SpectralData(m=m, N=N, lam=lam, hbar=hbar, x=x)
 
 
+def brute_poles(s, max_order):
+    """Every pole (j, n) with distinct 1-based j and sum(n) <= max_order, built
+    independently of the library's order blocks."""
+    ns = [n for n in itertools.product(range(max_order + 1), repeat=s.m) if sum(n) <= max_order]
+    return [(j, n) for j in itertools.permutations(range(1, s.N + 1), s.m) for n in ns]
+
+
 class TestEnumerate:
-    def test_m1_order0(self):
-        s = make(1, 2, (0.5, 0.0))
-        terms = enumerate_terms(s, SeriesConfig(max_order=0))
-        assert [(a.j, a.n) for a in terms] == [((1,), (0,)), ((2,), (0,))]
-
-    def test_m2_order0_count(self):
-        s = make(2, 3, (0.8, 0.1, -0.7))
-        terms = enumerate_terms(s, SeriesConfig(max_order=0))
-        assert len(terms) == 6  # ordered pairs of distinct indices
-
-    def test_count_formula_per_order(self):
-        s = make(2, 4, (0.9, 0.4, -0.3, -1.15))
-        terms = enumerate_terms(s, SeriesConfig(max_order=3))
-        per_order = {}
-        for a in terms:
-            per_order[a.order] = per_order.get(a.order, 0) + 1
-        base = math.factorial(2) * math.comb(4, 2)
-        for k, count in per_order.items():
-            assert count == base * math.comb(k + 1, 1)  # compositions of k into 2 parts
-
-    def test_ordering(self):
-        s = make(1, 3, (0.7, 0.0, -0.9))
-        terms = enumerate_terms(s, SeriesConfig(max_order=2))
-        keys = [(a.order, a.j, a.n) for a in terms]
-        assert keys == sorted(keys)
-
     def test_genericity_rejected_with_pair_named(self):
         s = make(2, 4, (0.9, 0.4, -0.3, -1.1))  # 0.9 - (-1.1) = 2.0 = 2*hbar
         with pytest.raises(GenericityError, match="lambda_1 - lambda_4"):
-            enumerate_terms(s, SeriesConfig(max_order=0))
-
-    def test_repeated_j_rejected_at_construction(self):
-        with pytest.raises(ConfigError):
-            PoleAssignment(j=(1, 1), n=(0, 0))
+            eval_residue_series(s)
 
 
 class TestResidueTerm:
+    @pytest.mark.parametrize("j,n", [((1, 1), (0, 0)), ((0, 2), (0, 0)), ((1, 5), (0, 0)),
+                                     ((1, 2), (0,)), ((1, 2), (0, -1))],
+                             ids=["repeated-j", "j-zero", "j-above-N", "length-mismatch",
+                                  "negative-n"])
+    def test_bad_pole_rejected(self, j, n):
+        with pytest.raises(ConfigError):
+            residue_term(j, n, make(2, 4, (0.9, 0.4, -0.3, -1.15)))
+
     def test_order0_matches_coset_closed_form(self):
         # the order-0 terms re-sum to the leading asymptotic coset expression
         s = make(2, 4, (0.9, 0.4, -0.3, -1.15), hbar=0.8, x=-2.0)
-        terms = [residue_term(a, s) for a in enumerate_terms(s, SeriesConfig(max_order=0))]
+        terms = [residue_term(j, n, s) for j, n in brute_poles(s, 0)]
         total = rescaled_sum(terms)
         asym = leading_asymptotic(s)
         assert abs((total / asym).to_complex() - 1.0) <= 1e-12
@@ -65,11 +50,11 @@ class TestResidueTerm:
     def test_order1_relative_factor(self):
         # order-1 terms carry e^x relative to order 0, up to lambda-dependent constants
         s = make(1, 2, (0.5, 0.0), hbar=1.0, x=-2.0)
-        t0 = residue_term(PoleAssignment((1,), (0,)), s)
-        t1 = residue_term(PoleAssignment((1,), (1,)), s)
+        t0 = residue_term((1,), (0,), s)
+        t1 = residue_term((1,), (1,), s)
         s2 = make(1, 2, (0.5, 0.0), hbar=1.0, x=-4.0)
-        u0 = residue_term(PoleAssignment((1,), (0,)), s2)
-        u1 = residue_term(PoleAssignment((1,), (1,)), s2)
+        u0 = residue_term((1,), (0,), s2)
+        u1 = residue_term((1,), (1,), s2)
         ratio_x2 = (t1 / t0).to_complex()
         ratio_x4 = (u1 / u0).to_complex()
         assert ratio_x4 / ratio_x2 == pytest.approx(math.exp(-2.0), rel=1e-12)
@@ -99,12 +84,9 @@ class TestSeries:
     def test_order_decay_beyond_order3(self):
         # for x <= -2 hbar the per-order partial sums decay monotonically past order 3
         s = make(2, 4, (0.9, 0.4, -0.3, -1.15), x=-2.5)
-        from parwhit.residues import _order_blocks
-        mags = []
-        for _, perms, comps in _order_blocks(4, 2, 7):
-            terms = [residue_term(PoleAssignment(tuple(k + 1 for k in js), tuple(ns)), s)
-                     for js in perms.tolist() for ns in comps.tolist()]
-            mags.append(rescaled_sum(terms).log_mag)
+        poles = brute_poles(s, 7)
+        mags = [rescaled_sum([residue_term(j, n, s) for j, n in poles if sum(n) == k]).log_mag
+                for k in range(8)]
         for k in range(3, 7):
             assert mags[k + 1] < mags[k]
 
@@ -165,8 +147,7 @@ class TestPoleTables:
         # terms as residue_term, one pole at a time, over the same orders
         s = make(m, N, lam, hbar=hbar, x=x)
         res = eval_residue_series(s)
-        terms = [residue_term(a, s)
-                 for a in enumerate_terms(s, SeriesConfig(max_order=res.orders_summed - 1))]
+        terms = [residue_term(j, n, s) for j, n in brute_poles(s, res.orders_summed - 1)]
         assert res.terms == len(terms)
         want = rescaled_sum(terms)
         cancel = math.fsum(math.exp(t.log_mag - want.log_mag) for t in terms)
