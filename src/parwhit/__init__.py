@@ -15,7 +15,7 @@ from .errors import (CoincidentPointsError, ConfigError, DeskScaleError,
 from .gammafns import gamma1, log_gamma, recip_gamma1
 from .logcomplex import LogComplex, rescaled_sum
 from .mbquad import MBResult, auto_contour, eval_mb, integrand
-from .residues import SeriesConfig, SeriesResult, eval_residue_series, residue_term
+from .residues import SeriesResult, eval_residue_series, residue_term
 from .spectral import ContourConfig, SpectralData
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "log_gamma", "gamma1", "recip_gamma1",
     "SpectralData", "ContourConfig",
     "MBResult", "integrand", "eval_mb", "auto_contour",
-    "SeriesConfig", "SeriesResult", "residue_term", "eval_residue_series",
+    "SeriesResult", "residue_term", "eval_residue_series",
     "enumerate_cosets", "coset_coefficient", "leading_asymptotic",
     "ParwhitError", "ConfigError", "DomainError", "PoleError",
     "GenericityError", "CoincidentPointsError", "DeskScaleError",

@@ -32,10 +32,10 @@ from .errors import (ConfigError, DomainError, ParwhitError, QuadratureError,
                      VerificationError)
 from .gz.combin import check_combin_identities
 from .gz.identity import check_brackets, check_build_EnN
-from .gz.whittaker import verify_left_whittaker, verify_right_support_relations
+from .gz.whittaker import VERIFY_TOL, verify_left_whittaker, verify_right_support_relations
 from .logcomplex import LogComplex, rescaled_sum
 from .mbquad import auto_contour, eval_mb
-from .residues import SeriesConfig, eval_residue_series
+from .residues import eval_residue_series
 from .spectral import ContourConfig, SpectralData
 
 EXIT_OK = 0
@@ -45,6 +45,8 @@ EXIT_VERIFY = 4
 
 DEFAULT_SEED = 20177
 SCHEMA_VERSION = 1
+#: boundary decay the automatic contour truncation must reach
+CONTOUR_TOL = 1e-9
 
 _METHODS = ("mb", "residue", "both")
 _FORMATS = ("json", "csv")
@@ -79,10 +81,6 @@ class RunConfig:
     epsilon: float | None = None
     half_extent: float | None = None
     nodes_per_dim: int | None = None
-    tol: float = 1e-9
-    # series overrides
-    max_order: int = 40
-    series_tol: float = 1e-12
     # verification
     seed: int = DEFAULT_SEED
     samples: int = 8
@@ -121,7 +119,7 @@ class RunConfig:
                      if getattr(self, k) is not None}
         if len(overrides) == 3:
             return ContourConfig(**overrides)
-        return dataclasses.replace(auto_contour(s, self.tol), **overrides)
+        return dataclasses.replace(auto_contour(s, CONTOUR_TOL), **overrides)
 
     @classmethod
     def field_names(cls) -> set[str]:
@@ -190,7 +188,7 @@ def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex,
         res = eval_mb(s, cfg.contour(s), max_rel_err=1e-3)
         value, err = res.value, res.error_estimate
     elif method == "residue":
-        res = eval_residue_series(s, SeriesConfig(max_order=cfg.max_order, tol=cfg.series_tol))
+        res = eval_residue_series(s)
         value, err = res.value, res.tail_estimate
         diagnostics = {"orders_summed": res.orders_summed, "terms": res.terms}
     else:
@@ -275,12 +273,11 @@ def _sweep_csv(payload: dict) -> str:
 
 
 def _operator_suite(cfg: RunConfig) -> dict:
-    tol = 1e-9
     checks = check_brackets(cfg.N, cfg.hbar, 5, 5, cfg.seed)
     checks += check_build_EnN(cfg.N, cfg.hbar, 5, 5, cfg.seed + 1)
     worst = max(c.deviation for c in checks)
-    return {"name": "gz-operators", "passed": worst <= tol, "max_deviation": worst,
-            "tol": tol, "checks": [{"name": c.name, "deviation": c.deviation} for c in checks]}
+    return {"name": "gz-operators", "passed": worst <= VERIFY_TOL, "max_deviation": worst,
+            "tol": VERIFY_TOL, "checks": [{"name": c.name, "deviation": c.deviation} for c in checks]}
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
@@ -309,8 +306,11 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -344,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--half-extent", dest="half_extent", type=float, default=None)
         p.add_argument("--nodes-per-dim", dest="nodes_per_dim", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-order", dest="max_order", type=int, default=None)
-        p.add_argument("--series-tol", dest="series_tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--perturb-psi-l", dest="perturb_psi_l", type=float, default=None,

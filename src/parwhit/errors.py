@@ -25,12 +25,12 @@ class CoincidentPointsError(DomainError):
     """Interpolation-node style input with coincident points."""
 
 
-class DeskScaleError(ConfigError):
-    """Instance exceeds the supported desk-scale size (m >= 4 quadrature)."""
-
-
 class QuadratureError(ParwhitError):
     """Contour quadrature failed to converge to the requested tolerance."""
+
+
+class DeskScaleError(QuadratureError):
+    """Instance exceeds the supported desk-scale size (m >= 4 quadrature)."""
 
 
 class SupportError(ConfigError):

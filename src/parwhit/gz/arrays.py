@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError, SupportError
+from ..gammafns import _checked_hbar
 
 __all__ = ["TriangularArray", "SupportConstraints", "random_array"]
 
@@ -56,21 +57,21 @@ class TriangularArray:
         return out
 
 
-def random_array(N: int, rng: np.random.Generator, scale: float = 2.0,
-                 min_row_gap: float = 0.05, max_tries: int = 200) -> TriangularArray:
-    """Random complex array with within-row entries separated by min_row_gap.
+def random_array(N: int, rng: np.random.Generator) -> TriangularArray:
+    """Random complex array, entries in [-2, 2]^2, within-row entries at least 0.05 apart.
 
     Row separation keeps the generator denominators prod (gamma_{n,i} -
-    gamma_{n,s}) and the measure ratios well conditioned.
+    gamma_{n,s}) and the measure ratios well conditioned.  A draw that
+    violates it is redrawn, at most 200 times.
     """
-    for _ in range(max_tries):
+    for _ in range(200):
         rows = []
         ok = True
         for n in range(1, N + 1):
-            r = rng.uniform(-scale, scale, size=n) + 1j * rng.uniform(-scale, scale, size=n)
+            r = rng.uniform(-2.0, 2.0, size=n) + 1j * rng.uniform(-2.0, 2.0, size=n)
             for a in range(n):
                 for b in range(a + 1, n):
-                    if abs(r[a] - r[b]) < min_row_gap:
+                    if abs(r[a] - r[b]) < 0.05:
                         ok = False
             rows.append(tuple(complex(v) for v in r))
             if not ok:
@@ -99,8 +100,7 @@ class SupportConstraints:
             raise SupportError(
                 f"right-vector support needs 2 <= m < N, got m={self.m}, N={self.N}"
             )
-        if not self.hbar > 0:
-            raise SupportError("hbar must be > 0")
+        _checked_hbar(self.hbar)
 
     def build(self, row_m: Sequence[complex], lam: Sequence[complex]) -> TriangularArray:
         """The unique support array with the given free row m and spectral row."""

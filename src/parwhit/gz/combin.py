@@ -59,12 +59,11 @@ def combin2(gamma: Sequence[complex], c: complex) -> complex:
     return out
 
 
-def separated_nodes(rng: np.random.Generator, n: int, min_gap: float = 0.35,
-                    radius: float = 1.6) -> list[complex]:
-    """n random complex nodes in [-radius, radius]^2, redrawn until pairwise >= min_gap apart."""
+def separated_nodes(rng: np.random.Generator, n: int) -> list[complex]:
+    """n random complex nodes in [-1.6, 1.6]^2, redrawn until pairwise >= 0.35 apart."""
     while True:
-        g = [complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius)) for _ in range(n)]
-        if all(abs(g[i] - g[k]) >= min_gap for i in range(n) for k in range(i + 1, n)):
+        g = [complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6)) for _ in range(n)]
+        if all(abs(g[i] - g[k]) >= 0.35 for i in range(n) for k in range(i + 1, n)):
             return g
 
 

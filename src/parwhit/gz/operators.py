@@ -19,8 +19,9 @@ the product measure mu(gamma) = prod_{n=2}^{N-1} prod_{i != j}
 shift -sigma for each shift sigma, with coefficient c_sigma evaluated at
 gamma - hbar*sigma times the measure ratio mu(gamma - hbar*sigma)/mu(gamma),
 which collapses to a finite rational factor through Gamma(s+1) = s Gamma(s)
-and is never evaluated through gamma functions at runtime.  Each operator
-keeps how it was built, so its adjoint follows the same structure:
+and is never evaluated through gamma functions at runtime (measure_ratio;
+N is the array's size and hbar the operator's).  Each operator receives its
+adjoint builder when it is built, so its adjoint follows the same structure:
 (A.B)^dag = B^dag.A^dag, (A + B)^dag = A^dag + B^dag, and an operator built
 from terms flips each term on its own.  A commutator of generators thus has
 the adjoint [B^dag, A^dag], and each coefficient is evaluated once per point.
@@ -28,15 +29,14 @@ the adjoint [B^dag, A^dag], and each coefficient is evaluated once per point.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from typing import Callable, Iterable, Mapping
 
 from ..errors import ConfigError
-from ..gammafns import log_gamma1, on_pole_lattice
+from ..gammafns import _checked_hbar
 from .arrays import TriangularArray
 
-__all__ = ["DifferenceOperator", "GZMeasure", "gen", "commutator",
+__all__ = ["DifferenceOperator", "measure_ratio", "gen", "commutator",
            "build_Eij", "build_EnN", "twist", "adjoint", "coxeter_cycle"]
 
 Coeff = Callable[[TriangularArray], complex]
@@ -60,18 +60,16 @@ class DifferenceOperator:
     """sum_sigma c_sigma(gamma) f(gamma + hbar*sigma) over distinct shifts, at a fixed hbar.
 
     `shifts` lists the distinct shift keys; `symbol(arr)` returns a fresh
-    dict {key: c_key(arr)} over exactly those keys.
+    dict {key: c_key(arr)} over exactly those keys.  `dagger`, when given,
+    builds the adjoint from the parts the operator was made of.
     """
 
-    def __init__(self, hbar: float, shifts: Iterable[ShiftKey], symbol: Symbol):
-        if not hbar > 0:
-            raise ConfigError("hbar must be > 0")
-        self.hbar = float(hbar)
+    def __init__(self, hbar: float, shifts: Iterable[ShiftKey], symbol: Symbol,
+                 dagger: Callable[[], "DifferenceOperator"] | None = None):
+        self.hbar = _checked_hbar(hbar)
         self.shifts = tuple(shifts)
         self.symbol = symbol
-        # mu -> adjoint; without a known structure every shift reads the whole symbol
-        self._dagger = lambda mu: adjoint(_from_terms(
-            self.hbar, [(key, lambda arr, key=key: symbol(arr)[key]) for key in self.shifts]), mu)
+        self._dagger = dagger
 
     def __len__(self) -> int:
         return len(self.shifts)
@@ -103,8 +101,7 @@ class DifferenceOperator:
             return out
 
         shifts = dict.fromkeys(key for row in sums.values() for key in row.values())
-        return _with_dagger(DifferenceOperator(h, shifts, symbol),
-                            lambda mu: adjoint(other, mu).compose(adjoint(self, mu)))
+        return DifferenceOperator(h, shifts, symbol, lambda: adjoint(other).compose(adjoint(self)))
 
     def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         if abs(self.hbar - other.hbar) > 0:
@@ -117,22 +114,17 @@ class DifferenceOperator:
                 out[key] = out.get(key, 0j) + c
             return out
 
-        return _with_dagger(DifferenceOperator(self.hbar, dict.fromkeys(self.shifts + other.shifts), symbol),
-                            lambda mu: adjoint(self, mu) + adjoint(other, mu))
+        return DifferenceOperator(self.hbar, dict.fromkeys(self.shifts + other.shifts), symbol,
+                                  lambda: adjoint(self) + adjoint(other))
 
     def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return self + (-other)
 
     def __neg__(self) -> "DifferenceOperator":
         a = self.symbol
-        return _with_dagger(DifferenceOperator(self.hbar, self.shifts,
-                                               lambda arr: {key: -c for key, c in a(arr).items()}),
-                            lambda mu: -adjoint(self, mu))
-
-
-def _with_dagger(op: DifferenceOperator, dagger) -> DifferenceOperator:
-    op._dagger = dagger
-    return op
+        return DifferenceOperator(self.hbar, self.shifts,
+                                  lambda arr: {key: -c for key, c in a(arr).items()},
+                                  lambda: -adjoint(self))
 
 
 def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]]) -> DifferenceOperator:
@@ -141,17 +133,16 @@ def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]]) -> DifferenceOper
     Its adjoint has one term per term: shift -key, coefficient
     c_t(gamma - hbar*key) * mu(gamma - hbar*key)/mu(gamma).
     """
-    def dagger(mu):
+    def dagger():
         flipped = []
         for key, c in terms:
             back = {pos: -k for pos, k in key}
             flipped.append((_shift_key(back), lambda arr, c=c, back=back:
-                            c(arr.shifted(back, h)) * mu.ratio(arr, back)))
+                            c(arr.shifted(back, h)) * measure_ratio(arr, back, h)))
         return _from_terms(h, flipped)
 
-    return _with_dagger(DifferenceOperator(h, [key for key, _ in terms],
-                                           lambda arr: {key: c(arr) for key, c in terms}),
-                        dagger)
+    return DifferenceOperator(h, [key for key, _ in terms],
+                              lambda arr: {key: c(arr) for key, c in terms}, dagger)
 
 
 def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
@@ -272,64 +263,43 @@ def twist(label: tuple[int, int], w, N: int, hbar: float) -> DifferenceOperator:
     return build_Eij(winv[i], winv[j], N, hbar)
 
 
-class GZMeasure:
-    """The pairing measure mu and its closed-form shift ratios.
+def measure_ratio(arr: TriangularArray, shift: Mapping[tuple[int, int], int], hbar: float) -> complex:
+    """mu(gamma + hbar*shift) / mu(gamma) as a finite rational factor.
 
     mu(gamma) = prod_{n=2}^{N-1} prod_{i != j} 1/Gamma((gamma_{n,i} -
-    gamma_{n,j})/hbar); vanishes exactly where some within-row difference of
-    rows 2..N-1 lies in hbar * Z_{<=0}.
+    gamma_{n,j})/hbar) with N = arr.N; it vanishes exactly where some
+    within-row difference of rows 2..N-1 lies in hbar * Z_{<=0}.
     """
-
-    def __init__(self, N: int, hbar: float):
-        if N < 2:
-            raise ConfigError("need N >= 2")
-        if not hbar > 0:
-            raise ConfigError("hbar must be > 0")
-        self.N = N
-        self.hbar = float(hbar)
-
-    def value(self, arr: TriangularArray) -> complex:
-        """Direct evaluation (for tests); zero on the singular set."""
-        h = self.hbar
-        out = 1.0 + 0j
-        for n in range(2, self.N):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    v = (arr.gamma(n, i) - arr.gamma(n, j)) / h
-                    if on_pole_lattice(v):
-                        return 0j
-                    out *= cmath.exp(-complex(log_gamma1(v, 1.0)))
-        return out
-
-    def ratio(self, arr: TriangularArray, shift: Mapping[tuple[int, int], int]) -> complex:
-        """mu(gamma + hbar*shift) / mu(gamma) as a finite rational factor."""
-        h = self.hbar
-        out = 1.0 + 0j
-        for n in sorted({n for n, _ in shift if 2 <= n < self.N}):   # rows the shift moves
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    d = shift.get((n, i), 0) - shift.get((n, j), 0)
-                    if d == 0:
-                        continue
-                    v = (arr.gamma(n, i) - arr.gamma(n, j)) / h
-                    # Gamma(v+d)/Gamma(v) as a Pochhammer product; mu carries 1/Gamma
-                    p = 1.0 + 0j
-                    for t in (range(d) if d > 0 else range(-1, d - 1, -1)):
-                        p *= v + t
-                    out = out / p if d > 0 else out * p
-        return out
+    out = 1.0 + 0j
+    for n in sorted({n for n, _ in shift if 2 <= n < arr.N}):   # rows the shift moves
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                d = shift.get((n, i), 0) - shift.get((n, j), 0)
+                if d == 0:
+                    continue
+                v = (arr.gamma(n, i) - arr.gamma(n, j)) / hbar
+                # Gamma(v+d)/Gamma(v) as a Pochhammer product; mu carries 1/Gamma
+                p = 1.0 + 0j
+                for t in (range(d) if d > 0 else range(-1, d - 1, -1)):
+                    p *= v + t
+                out = out / p if d > 0 else out * p
+    return out
 
 
-def adjoint(a: DifferenceOperator, mu: GZMeasure) -> DifferenceOperator:
+def adjoint(a: DifferenceOperator) -> DifferenceOperator:
     """Adjoint under the mu-pairing: reverse each shift and attach the mu ratio.
 
     Shift sigma maps to -sigma with coefficient
     c_sigma(gamma - hbar*sigma) * mu(gamma - hbar*sigma)/mu(gamma).  It is
     built from the adjoints of the parts a was built from, in reverse order
-    for products; applying adjoint twice returns the original operator.
+    for products; applying adjoint twice returns the original operator.  A
+    bare DifferenceOperator, built without that structure, reads its whole
+    symbol once per shift.
     """
-    return a._dagger(mu)
+    if a._dagger is not None:
+        return a._dagger()
+    symbol = a.symbol
+    terms = [(key, lambda arr, key=key: symbol(arr)[key]) for key in a.shifts]
+    return _from_terms(a.hbar, terms)._dagger()

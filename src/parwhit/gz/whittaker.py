@@ -30,12 +30,15 @@ import numpy as np
 from ..errors import ConfigError, VerificationError
 from ..gammafns import log_gamma1, on_pole_lattice
 from .arrays import SupportConstraints, TriangularArray, random_array
-from .operators import GZMeasure, adjoint, coxeter_cycle, twist
+from .operators import adjoint, coxeter_cycle, twist
 
 __all__ = ["psi_L", "verify_left_whittaker", "verify_right_support_relations",
-           "LeftWhittakerReport", "RightSupportReport"]
+           "LeftWhittakerReport", "RightSupportReport", "VERIFY_TOL"]
 
 _MAX_RESAMPLE = 50
+
+#: largest deviation an operator or Whittaker-vector identity check may show and pass
+VERIFY_TOL = 1e-9
 
 
 def _block_args(arr: TriangularArray, n: int, p: int, h: float) -> np.ndarray:
@@ -88,13 +91,12 @@ def _finite(z: complex) -> bool:
 
 
 def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
-                          hbar: float | None = None, perturb: float = 0.0,
-                          tol: float = 1e-9) -> LeftWhittakerReport:
+                          hbar: float | None = None, perturb: float = 0.0) -> LeftWhittakerReport:
     """Check (E^w_{k+1,k})^dag psi_L = s_k * hbar^{-1} psi_L for all k, s_k in {+1,-1}.
 
     w is the Coxeter cycle sending 1 -> 2 -> ... -> m -> 1; the eigen-ratio
     is measured pointwise at `samples` random non-singular arrays and must be
-    a sample-independent constant of modulus 1 (times 1/hbar) within tol.
+    a sample-independent constant of modulus 1 (times 1/hbar) within VERIFY_TOL.
     """
     if not 2 <= m < N:
         raise ConfigError(f"need 2 <= m < N, got m={m}, N={N}")
@@ -102,7 +104,6 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
         raise ConfigError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     h = float(hbar) if hbar is not None else float(rng.uniform(0.7, 1.5))
-    mu = GZMeasure(N, h)
     w = coxeter_cycle(m, N)
     winv = [0] * N
     for a, wa in enumerate(w, start=1):
@@ -113,7 +114,7 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
 
     signs, labels, deviations = [], [], []
     for k in range(1, N):
-        op = adjoint(twist((k + 1, k), w, N, h), mu)
+        op = adjoint(twist((k + 1, k), w, N, h))
         labels.append((winv[k], winv[k - 1]))
         ratios = []
         tries = 0
@@ -140,8 +141,8 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
         deviations.append(dev)
     max_dev = max(deviations)
     return LeftWhittakerReport(
-        m=m, N=N, hbar=h, samples=samples, seed=seed, tol=tol,
-        passed=max_dev <= tol, max_deviation=max_dev,
+        m=m, N=N, hbar=h, samples=samples, seed=seed, tol=VERIFY_TOL,
+        passed=max_dev <= VERIFY_TOL, max_deviation=max_dev,
         signs=tuple(signs), labels=tuple(labels), deviations=tuple(deviations),
     )
 
@@ -173,8 +174,7 @@ def _near_pole(arr: TriangularArray, m: int, N: int, h: float, margin: float = 0
 
 
 def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int = 0,
-                                   hbar: float | None = None,
-                                   tol: float = 1e-9) -> RightSupportReport:
+                                   hbar: float | None = None) -> RightSupportReport:
     """Pointwise checks of the right-vector proof identities on the delta support.
 
     Per sample (random free row m, random spectral row, everything else
@@ -282,7 +282,7 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
 
     max_dev = max(devs.values())
     return RightSupportReport(
-        m=m, N=N, hbar=h, samples=samples, seed=seed, tol=tol,
-        passed=max_dev <= tol, max_deviation=max_dev,
+        m=m, N=N, hbar=h, samples=samples, seed=seed, tol=VERIFY_TOL,
+        passed=max_dev <= VERIFY_TOL, max_deviation=max_dev,
         constant_sign=const_sign, check_deviations=devs,
     )

@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ConfigError, DeskScaleError, PoleError, QuadratureError
 from .gammafns import log_gamma1, on_pole_lattice
 from .logcomplex import LogComplex
-from .spectral import ContourConfig, SpectralData
+from .spectral import MAX_NODES_PER_DIM, ContourConfig, SpectralData
 
 __all__ = ["MBResult", "integrand", "eval_mb", "auto_contour"]
 
@@ -227,7 +227,8 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     The half-extent T grows until the largest integrand magnitude on the
     truncation boundary of a coarse probe grid falls below tol times the
     largest magnitude in the interior; the node count then enforces both the
-    step bound hbar/4 and the aliasing/oscillation budget.
+    step bound hbar/4 and the aliasing/oscillation budget.  A node count
+    above MAX_NODES_PER_DIM raises QuadratureError before anything is allocated.
     """
     if not (tol > 0):
         raise ConfigError(f"tol must be > 0, got {tol}")
@@ -270,5 +271,11 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     delta = eps - s.lam_max
     step = 2.0 * math.pi * delta / (_DISC_DECADES + (abs(s.x) + math.pi * (m - 1)) * delta / h)
     step = min(step, h / 4.0)
-    nodes = max(16, int(math.ceil(2.0 * T / step)) + 1)
+    span = 2.0 * T / step if step > 0 else math.inf
+    if not span < MAX_NODES_PER_DIM - 1:
+        raise QuadratureError(
+            f"the contour at x = {s.x:g} needs about {span:.3g} nodes per dimension, above the "
+            f"cap of {MAX_NODES_PER_DIM}; the oscillation e^(-x gamma / hbar) is too fast"
+        )
+    nodes = max(16, int(math.ceil(span)) + 1)
     return ContourConfig(epsilon=eps, half_extent=T, nodes_per_dim=nodes)

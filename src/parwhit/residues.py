@@ -17,7 +17,7 @@ the per-variable residue factor hbar^(1-n) (-1)^n / n!).  residue_term
 evaluates this one pole at a time and is the termwise oracle.
 
 Every gamma1 argument is lambda_a - lambda_b - t hbar with integer
-|t| <= K = max_order, so eval_residue_series builds two tables once per call:
+|t| <= K = MAX_ORDER, so eval_residue_series builds two tables once per call:
 
     L[a, b, K + t] = log gamma1(lambda_a - lambda_b - t hbar),   a != b,
     P[a, n]        = -(x/hbar)(lambda_a - n hbar) + (1 - n) log hbar
@@ -53,21 +53,12 @@ from .gammafns import log_gamma1
 from .logcomplex import LogComplex, rescaled_sum
 from .spectral import SpectralData
 
-__all__ = ["SeriesConfig", "SeriesResult", "residue_term", "eval_residue_series"]
+__all__ = ["SeriesResult", "residue_term", "eval_residue_series"]
 
-MAX_ORDER_CAP = 60
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    max_order: int = 40
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (isinstance(self.max_order, int) and 0 <= self.max_order <= MAX_ORDER_CAP):
-            raise ConfigError(f"max_order must be an int in [0, {MAX_ORDER_CAP}]")
-        if not self.tol > 0:
-            raise ConfigError("tol must be > 0")
+#: the series is summed over orders 0..MAX_ORDER at most
+MAX_ORDER = 40
+#: early stop: two consecutive order sums below SERIES_TOL relative to the running total
+SERIES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,19 +99,17 @@ def residue_term(j: tuple[int, ...], n: tuple[int, ...], s: SpectralData) -> Log
     return LogComplex.from_log(L)
 
 
-def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> SeriesResult:
+def eval_residue_series(s: SpectralData) -> SeriesResult:
     """Sum the residue series order by order; requires x < 0 and generic lambda.
 
-    Stops early once two consecutive order sums fall below tol relative to
-    the running total (the orders decay like e^{x * order}).
+    Stops early once two consecutive order sums fall below SERIES_TOL
+    relative to the running total (the orders decay like e^{x * order}).
     """
-    if cfg is None:
-        cfg = SeriesConfig()
     if s.x >= 0:
         raise DomainError(f"residue series requires x < 0, got x = {s.x}")
     s.require_generic()
 
-    m, N, h, K = s.m, s.N, s.hbar, cfg.max_order
+    m, N, h, K = s.m, s.N, s.hbar, MAX_ORDER
     # canonical labels: relabeled lambda give bit-identical tables and sums
     lam = np.sort(s.lam_array)
     log_h = math.log(h)
@@ -171,7 +160,7 @@ def eval_residue_series(s: SpectralData, cfg: SeriesConfig | None = None) -> Ser
         orders = order + 1
         if not total.is_zero:
             last_rel = 0.0 if osum.is_zero else math.exp(osum.log_mag - total.log_mag)
-            if order >= 3 and last_rel <= cfg.tol:
+            if order >= 3 and last_rel <= SERIES_TOL:
                 small_streak += 1
                 if small_streak >= 2:
                     break

@@ -10,10 +10,13 @@ import numpy as np
 
 from .errors import ConfigError, GenericityError
 
-__all__ = ["SpectralData", "ContourConfig", "GENERICITY_MARGIN"]
+__all__ = ["SpectralData", "ContourConfig", "GENERICITY_MARGIN", "MAX_NODES_PER_DIM"]
 
 #: minimal distance of lambda_i - lambda_j from hbar*Z, in units of hbar
 GENERICITY_MARGIN = 1e-6
+
+#: most trapezoid nodes per dimension a contour may have (a few MB per moment column)
+MAX_NODES_PER_DIM = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ class SpectralData:
 class ContourConfig:
     """Truncated vertical-line contour (i*R + epsilon)^m.
 
-    epsilon must clear max(lambda); the trapezoid step 2T/(nodes-1) must not
-    exceed hbar/4 (validated against a SpectralData by validate_for).
+    epsilon must clear max(lambda); nodes_per_dim lies in [16, MAX_NODES_PER_DIM];
+    the trapezoid step 2T/(nodes-1) must not exceed hbar/4 (validated against a SpectralData by validate_for).
     """
 
     epsilon: float
@@ -88,8 +91,10 @@ class ContourConfig:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and math.isfinite(self.half_extent) and self.half_extent > 0):
             raise ConfigError("contour needs finite epsilon and half_extent > 0")
-        if not (isinstance(self.nodes_per_dim, int) and self.nodes_per_dim >= 16):
-            raise ConfigError(f"nodes_per_dim must be an int >= 16, got {self.nodes_per_dim}")
+        n = self.nodes_per_dim
+        if not (isinstance(n, int) and 16 <= n <= MAX_NODES_PER_DIM):
+            raise ConfigError(f"nodes_per_dim must be an int in [16, {MAX_NODES_PER_DIM}], "
+                              f"got {self.nodes_per_dim}")
 
     @property
     def step(self) -> float:

@@ -3,9 +3,11 @@
 These deliberately avoid the library's own gamma/quadrature machinery:
 k0_series is the textbook convergent expansion of the modified Bessel
 function; homogeneous_poly enumerates monomials directly; tensor_trapezoid
-sums the Mellin-Barnes integrand node by node over the full n^m grid.
+sums the Mellin-Barnes integrand node by node over the full n^m grid;
+gz_measure evaluates the Gelfand-Zetlin pairing measure factor by factor.
 """
 
+import cmath
 import itertools
 import math
 
@@ -40,6 +42,23 @@ def homogeneous_poly(gamma, degree: int) -> complex:
             term *= gamma[idx]
         total += term
     return total
+
+
+def gz_measure(arr, hbar: float) -> complex:
+    """The pairing measure mu(gamma) = prod_{n=2}^{N-1} prod_{i != j} 1/Gamma((gamma_{n,i} -
+    gamma_{n,j})/hbar), N = arr.N, factor by factor; zero on the singular set."""
+    out = 1.0 + 0j
+    for n in range(2, arr.N):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                v = (arr.gamma(n, i) - arr.gamma(n, j)) / hbar
+                k = round(v.real)
+                if k <= 0 and abs(v - k) <= 1e-12:
+                    return 0j
+                out *= cmath.exp(-complex(loggamma(v)))
+    return out
 
 
 #: 2*K0(2*e^(x/2)) frozen from k0_series (cross-checked against the series at test time)

@@ -125,7 +125,7 @@ def test_criterion_6_whittaker_vectors():
 
 
 def test_criterion_7_symmetry_and_covariance():
-    from parwhit import ContourConfig, SeriesConfig
+    from parwhit import ContourConfig
 
     rng = np.random.default_rng(4321)
     shapes = [(1, 2), (1, 3), (2, 3), (2, 4)]

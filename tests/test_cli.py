@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from parwhit.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY,
-                         ResultRecord, RunConfig, main)
+from parwhit.cli import (_COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY,
+                         ResultRecord, RunConfig, build_parser, main)
 from parwhit.errors import ConfigError
 
 from oracles import BESSEL_REFERENCE
@@ -34,7 +34,7 @@ class TestRunConfig:
         (["eval"], {"hbar": None}),
         (["eval"], {"hbar": "1"}),
         (["eval"], {"x": "a"}),
-        (["eval"], {"tol": None}),
+        (["eval"], {"nodes_per_dim": "64"}),
         (["eval"], {"lam": [1, "a"]}),
         (["verify", "--m", "2", "--N", "3"], {"seed": None}),
         (["verify", "--m", "2", "--N", "3"], {"samples": None}),
@@ -50,6 +50,12 @@ class TestRunConfig:
     def test_bad_method(self):
         with pytest.raises(ConfigError):
             RunConfig(command="eval", method="simpson")
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_flags_are_the_config_fields(self, command):
+        # every flag but --config sets one RunConfig field, and every field has a flag
+        dests = set(vars(build_parser().parse_args([command]))) - {"config"}
+        assert dests == RunConfig.field_names()
 
 
 class TestResultRecord:
@@ -124,6 +130,23 @@ class TestEval:
     def test_config_error_exit2(self, capsys):
         code, _ = run(capsys, "eval", "--m", "3", "--N", "2")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("m,N,lam", [
+        (3, 4, "0.9,0.3,-0.4,-1.05"),               # N < 2m - 1: the integrand decays too slowly
+        (4, 6, "1.31,0.86,0.37,-0.08,-0.61,-1.17"),  # m > 3: beyond the contour probe
+    ])
+    def test_shape_the_quadrature_does_not_serve_exit3(self, capsys, m, N, lam):
+        code, out = run(capsys, "eval", "--m", str(m), "--N", str(N), "--lambda", lam,
+                        "--x", "-1", "--method", "mb")
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"]["type"] in ("QuadratureError", "DeskScaleError")
+
+    def test_contour_node_cap_exit3(self, capsys):
+        # at x = 1e308 the contour would need ~1e307 nodes per dimension
+        code, out = run(capsys, "eval", "--m", "1", "--N", "2", "--lambda", "0.3,-0.2",
+                        "--x", "1e308")
+        assert code == EXIT_DOMAIN
+        assert "cap" in json.loads(out)["error"]["message"]
 
 
 class TestAsympt:
@@ -232,6 +255,12 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--m", "1", "--N", "3")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("hbar", ["inf", "0", "-1"])
+    def test_bad_hbar_exit2(self, capsys, hbar):
+        code = main(["verify", "--m", "2", "--N", "4", "--hbar", hbar])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: hbar must be")
+
 
 class TestOutputFile:
     def test_out_writes_file(self, tmp_path, capsys):
@@ -241,6 +270,13 @@ class TestOutputFile:
         assert code == EXIT_OK and out == ""
         payload = json.loads(target.read_text())
         assert payload["schema"] == 1
+
+    def test_out_into_missing_directory_exit2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "res.json"
+        code = main(["eval", "--m", "1", "--N", "2", "--lambda", "0,0", "--out", str(target)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"config error: cannot write {target}")
 
 
 class TestEvalDeterminism:

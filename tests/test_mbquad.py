@@ -5,7 +5,8 @@ import pytest
 
 from parwhit import (ContourConfig, SpectralData, auto_contour, eval_mb,
                      integrand)
-from parwhit.errors import ConfigError, DeskScaleError, PoleError
+from parwhit.errors import ConfigError, DeskScaleError, PoleError, QuadratureError
+from parwhit.spectral import MAX_NODES_PER_DIM
 
 from oracles import (BESSEL_REFERENCE, PSI_REFERENCE, PSI_SPECTRA, k0_series,
                      quad_serves, tensor_trapezoid)
@@ -68,6 +69,15 @@ class TestAutoContour:
         s = SpectralData(m=4, N=6, lam=(1.0, 0.5, 0.0, -0.5, -1.0, -1.5), hbar=1.0, x=0.0)
         with pytest.raises(DeskScaleError):
             auto_contour(s, 1e-9)
+
+    @pytest.mark.parametrize("x", [-1e8, 1e308])
+    def test_node_cap(self, x):
+        # the step shrinks like 1/|x|; the search stops before a grid is allocated
+        s = SpectralData(m=1, N=2, lam=(0.3, -0.2), hbar=1.0, x=x)
+        with pytest.raises(QuadratureError, match="cap"):
+            auto_contour(s, 1e-9)
+        with pytest.raises(ConfigError, match="nodes_per_dim"):
+            ContourConfig(epsilon=1.0, half_extent=8.0, nodes_per_dim=MAX_NODES_PER_DIM + 1)
 
 
 class TestEvalMB:

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from parwhit import (SeriesConfig, SpectralData, auto_contour, eval_mb, eval_residue_series,
+from parwhit import (SpectralData, auto_contour, eval_mb, eval_residue_series,
                      leading_asymptotic, residue_term)
 from parwhit.errors import ConfigError, DomainError, GenericityError
 from parwhit.logcomplex import rescaled_sum
+from parwhit.residues import MAX_ORDER, SERIES_TOL
 
 from oracles import PSI_REFERENCE, PSI_SPECTRA, quad_serves
 
@@ -125,11 +126,14 @@ class TestSeries:
         assert err <= 1e-10
         assert res.tail_estimate >= err
 
-    def test_series_config_caps(self):
-        with pytest.raises(ConfigError):
-            SeriesConfig(max_order=61)
-        with pytest.raises(ConfigError):
-            SeriesConfig(tol=0.0)
+    def test_order_cap_bounds_the_sum(self):
+        # at hbar = 0.1 the order-n terms carry hbar^-n / n!, which peaks near n = 10
+        # and has not decayed by MAX_ORDER: the sum stops at the cap, and says so
+        res = eval_residue_series(make(1, 2, (0.33, -0.21), hbar=0.1, x=-0.5))
+        assert res.orders_summed == MAX_ORDER + 1
+        assert res.tail_estimate > 1e-3
+        res = eval_residue_series(make(1, 2, (0.33, -0.21), hbar=1.0, x=-0.5))
+        assert res.orders_summed < MAX_ORDER + 1 and res.tail_estimate < 1e3 * SERIES_TOL
 
 
 class TestPoleTables:
