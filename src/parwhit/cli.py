@@ -276,7 +276,7 @@ def _operator_suite(cfg: RunConfig) -> dict:
     checks = check_brackets(cfg.N, cfg.hbar, 5, 5, cfg.seed)
     checks += check_build_EnN(cfg.N, cfg.hbar, 5, 5, cfg.seed + 1)
     worst = max(c.deviation for c in checks)
-    return {"name": "gz-operators", "passed": worst <= VERIFY_TOL, "max_deviation": worst,
+    return {"suite": "gz-operators", "passed": worst <= VERIFY_TOL, "max_deviation": worst,
             "tol": VERIFY_TOL, "checks": [{"name": c.name, "deviation": c.deviation} for c in checks]}
 
 
@@ -284,7 +284,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     if not 2 <= cfg.m < cfg.N:
         raise ConfigError(f"verify needs 2 <= m < N, got m={cfg.m}, N={cfg.N}")
     worst, tol = check_combin_identities(cfg.seed), 1e-11
-    suites = [{"name": "combin-identities", "passed": worst <= tol, "max_deviation": worst, "tol": tol},
+    suites = [{"suite": "combin-identities", "passed": worst <= tol, "max_deviation": worst, "tol": tol},
               _operator_suite(cfg)]
     left = verify_left_whittaker(cfg.m, cfg.N, samples=cfg.samples, seed=cfg.seed,
                                  hbar=cfg.hbar, perturb=cfg.perturb_psi_l)

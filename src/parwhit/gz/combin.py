@@ -1,10 +1,11 @@
-"""Interpolation-style combinatorial identities over distinct nodes.
+"""The interpolation factor and the Lagrange identities over distinct nodes.
 
-combin1 is the divided difference of the monomial x^p over n nodes: it
-vanishes for p < n-1, equals 1 at p = n-1, and for p >= n equals the
-complete homogeneous symmetric polynomial of degree p - n + 1 (the degree is
-pinned down by the brute-force monomial oracle in the test suite).  combin2
-is the statement that Lagrange basis polynomials sum to 1 at any point.
+Every rational coefficient of the Gelfand-Zetlin layer is a ratio of factor
+products over one row.  combin1 is the divided difference of the monomial x^p
+over n nodes: it vanishes for p < n-1, equals 1 at p = n-1, and for p >= n
+equals the complete homogeneous symmetric polynomial of degree p - n + 1 (the
+degree is pinned down by the brute-force monomial oracle in the test suite).
+combin2 is the statement that Lagrange basis polynomials sum to 1 at any point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ..errors import CoincidentPointsError
 
-__all__ = ["combin1", "combin2", "separated_nodes", "check_combin_identities"]
+__all__ = ["factor", "combin1", "combin2", "separated_nodes", "check_combin_identities"]
 
 
 def _check_distinct(gamma: Sequence[complex]) -> list[complex]:
@@ -27,6 +28,18 @@ def _check_distinct(gamma: Sequence[complex]) -> list[complex]:
     return g
 
 
+def factor(g: complex, row: Sequence[complex], off: complex = 0.0, skip: int | None = None) -> complex:
+    """prod_{k != skip} (g - row_k + off) over one row; skip is 1-based, None skips nothing.
+
+    A product of j factors written as prod (row_k - g + off) is (-1)^j factor(g, row, -off, skip).
+    """
+    out = 1.0 + 0j
+    for k, v in enumerate(row, start=1):
+        if k != skip:
+            out *= g - v + off
+    return out
+
+
 def combin1(gamma: Sequence[complex], p: int) -> complex:
     """sum_i gamma_i^p / prod_{k != i} (gamma_i - gamma_k).
 
@@ -36,27 +49,13 @@ def combin1(gamma: Sequence[complex], p: int) -> complex:
     if p < 0:
         raise ValueError("p must be >= 0")
     g = _check_distinct(gamma)
-    out = 0j
-    for i, gi in enumerate(g):
-        t = gi ** p
-        for k, gk in enumerate(g):
-            if k != i:
-                t /= gi - gk
-        out += t
-    return out
+    return sum(gi ** p / factor(gi, g, skip=i) for i, gi in enumerate(g, start=1))
 
 
 def combin2(gamma: Sequence[complex], c: complex) -> complex:
     """sum_i prod_{k != i} (c - gamma_k)/(gamma_i - gamma_k); identically 1."""
     g = _check_distinct(gamma)
-    out = 0j
-    for i, gi in enumerate(g):
-        t = 1.0 + 0j
-        for k, gk in enumerate(g):
-            if k != i:
-                t *= (c - gk) / (gi - gk)
-        out += t
-    return out
+    return sum(factor(c, g, skip=i) / factor(gi, g, skip=i) for i, gi in enumerate(g, start=1))
 
 
 def separated_nodes(rng: np.random.Generator, n: int) -> list[complex]:

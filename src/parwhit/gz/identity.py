@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DomainError
 from .arrays import TriangularArray, random_array
 from .operators import DifferenceOperator, build_EnN, commutator, gen
 
@@ -48,8 +49,10 @@ def operator_deviation(A: DifferenceOperator, B: DifferenceOperator, N: int,
         f = random_test_function(N, rng)
         for _ in range(n_arrays):
             arr = random_array(N, rng)
-            va = A.apply(f, arr)
-            vb = B.apply(f, arr)
+            try:
+                va, vb = A.apply(f, arr), B.apply(f, arr)
+            except OverflowError as exc:
+                raise DomainError(f"a test function leaves the double range at hbar = {A.hbar:g}") from exc
             scale = max(abs(va), abs(vb), 1.0)
             worst = max(worst, abs(va - vb) / scale)
     return worst

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Mapping
 from ..errors import ConfigError
 from ..gammafns import _checked_hbar
 from .arrays import TriangularArray
+from .combin import factor
 
 __all__ = ["DifferenceOperator", "measure_ratio", "gen", "commutator",
            "build_Eij", "build_EnN", "twist", "adjoint", "coxeter_cycle"]
@@ -170,19 +171,13 @@ def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
     if not 1 <= n <= N - 1:
         raise ConfigError(f"{kind} index {n} out of range for N={N}")
 
-    # raise: -prod_{j <= n+1} (g_ni - g_{n+1,j} - h/2); lower: prod_{j <= n-1} (g_ni - g_{n-1,j} + h/2)
+    # raise: -prod_{j <= n+1} (g_ni - g_{n+1,j} - h/2); lower: prod_{j <= n-1} (g_ni - g_{n-1,j} + h/2);
+    # both over h prod_{t != i} (g_ni - g_nt).  lower 1 has no row below (an empty product).
     row, off, sign, step = (n + 1, -h / 2, -1.0, -1) if kind == "raise" else (n - 1, h / 2, 1.0, 1)
 
     def c(arr, i):
         g = arr.gamma(n, i)
-        num = sign + 0j
-        for j in range(1, row + 1):
-            num *= g - arr.gamma(row, j) + off
-        den = 1.0 + 0j
-        for t in range(1, n + 1):
-            if t != i:
-                den *= g - arr.gamma(n, t)
-        return num / (h * den)
+        return sign * factor(g, arr.row(row) if row else (), off) / (h * factor(g, arr.row(n), skip=i))
 
     return _from_terms(h, [((((n, i), step),), lambda arr, i=i: c(arr, i)) for i in range(1, n + 1)])
 
@@ -223,18 +218,9 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
         def c(arr, chain=chain):
             val = -1.0 / h
             prev = None
-            for r, ir in enumerate(chain, start=1):
-                lvl = N - r
-                num = 1.0 + 0j
-                for j in range(1, lvl + 2):
-                    if prev is not None and j == prev:
-                        continue
-                    num *= arr.gamma(lvl, ir) - arr.gamma(lvl + 1, j) - h / 2
-                den = 1.0 + 0j
-                for k in range(1, lvl + 1):
-                    if k != ir:
-                        den *= arr.gamma(lvl, ir) - arr.gamma(lvl, k)
-                val *= num / den
+            for lvl, ir in zip(range(N - 1, n - 1, -1), chain):
+                g = arr.gamma(lvl, ir)
+                val *= factor(g, arr.row(lvl + 1), -h / 2, prev) / factor(g, arr.row(lvl), skip=ir)
                 prev = ir
             return val
 

@@ -27,9 +27,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, VerificationError
+from ..errors import ConfigError, DomainError, VerificationError
 from ..gammafns import log_gamma1, on_pole_lattice
 from .arrays import SupportConstraints, TriangularArray, random_array
+from .combin import factor
 from .operators import adjoint, coxeter_cycle, twist
 
 __all__ = ["psi_L", "verify_left_whittaker", "verify_right_support_relations",
@@ -65,7 +66,10 @@ def psi_L(m: int, arr: TriangularArray, hbar: float, perturb: float = 0.0) -> co
     z[0] += perturb
     if on_pole_lattice(z / h).any():
         return 0j          # zero of the reciprocal gamma
-    return cmath.exp(1j * math.pi * arr.gamma(1, 1) / h - complex(log_gamma1(z, h).sum()))
+    try:
+        return cmath.exp(1j * math.pi * arr.gamma(1, 1) / h - complex(log_gamma1(z, h).sum()))
+    except OverflowError as exc:
+        raise DomainError(f"psi_L leaves the double range at hbar = {h:g}") from exc
 
 
 @dataclass(frozen=True)
@@ -216,65 +220,39 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
 
         base_outer = _log_block(arr, N, m, h)
         base_inner = _log_block(arr, m, m - 1, h)
+        rm1, rm = arr.row(m - 1), arr.row(m)
+        sgn = (-1) ** (m - 1)   # prod_r (gamma_{m-1,r} - g + off) = sgn * factor(g, rm1, -off)
 
-        # (a1) outer block, shift gamma_{N-1,i} down by hbar
         for i in range(1, m + 1):
-            sh = arr.shifted({(N - 1, i): -1}, h)
-            lhs = cmath.exp(_log_block(sh, N, m, h) - base_outer)
-            rhs = 1.0 + 0j
-            for b in range(1, N + 1):
-                rhs /= arr.gamma(N - 1, i) - arr.gamma(N, b) - h / 2
+            g = arr.gamma(m, i)
+            # (a1) outer block, shift gamma_{N-1,i} down by hbar
+            lhs = cmath.exp(_log_block(arr.shifted({(N - 1, i): -1}, h), N, m, h) - base_outer)
+            rhs = 1.0 / factor(arr.gamma(N - 1, i), arr.row(N), -h / 2)
             devs["outer_shift"] = max(devs["outer_shift"], abs(lhs / rhs - 1))
 
-        # (a2) inner block, shift gamma_{m,i} down by hbar
-        for i in range(1, m + 1):
-            sh = arr.shifted({(m, i): -1}, h)
-            lhs = cmath.exp(_log_block(sh, m, m - 1, h) - base_inner)
-            rhs = 1.0 + 0j
-            for r in range(1, m):
-                rhs *= arr.gamma(m - 1, r) - arr.gamma(m, i) + h / 2
+            # (a2) inner block, shift gamma_{m,i} down by hbar
+            lhs = cmath.exp(_log_block(arr.shifted({(m, i): -1}, h), m, m - 1, h) - base_inner)
+            rhs = sgn * factor(g, rm1, -h / 2)
             devs["inner_shift"] = max(devs["inner_shift"], abs(lhs / rhs - 1))
 
-        # (a3) inner block, paired shift of gamma_{m-1,j} and gamma_{m,i}
-        for i in range(1, m + 1):
+            # (a3) inner block, paired shift of gamma_{m-1,j} and gamma_{m,i}
             for j in range(1, m):
                 sh = arr.shifted({(m, i): -1, (m - 1, j): -1}, h)
                 lhs = cmath.exp(_log_block(sh, m, m - 1, h) - base_inner)
-                rhs = 1.0 + 0j
-                for r in range(1, m):
-                    if r != j:
-                        rhs *= arr.gamma(m - 1, r) - arr.gamma(m, i) + h / 2
-                for p in range(1, m + 1):
-                    if p != i:
-                        rhs /= arr.gamma(m - 1, j) - arr.gamma(m, p) - h / 2
+                rhs = -sgn * factor(g, rm1, -h / 2, j) / factor(arr.gamma(m - 1, j), rm, -h / 2, i)
                 devs["double_shift"] = max(devs["double_shift"], abs(lhs / rhs - 1))
 
         # (b) numerator collapse on the support, rows m..N-2 against the row below
         for a in range(1, N - m):
+            row = arr.row(N - a)
             for i in range(1, m + 1):
-                lhs = 1.0 + 0j
-                for jj in range(1, N - a + 1):
-                    if jj == i:
-                        continue
-                    lhs *= arr.gamma(N - a - 1, i) - arr.gamma(N - a, jj) - h / 2
-                rhs = 1.0 + 0j
-                for k in range(1, N - a + 1):
-                    if k == i:
-                        continue
-                    rhs *= arr.gamma(N - a, i) - arr.gamma(N - a, k) - h
+                lhs = factor(arr.gamma(N - a - 1, i), row, -h / 2, i)
+                rhs = factor(row[i - 1], row, -h, i)
                 devs["support_congruence"] = max(devs["support_congruence"], abs(lhs / rhs - 1))
 
         # (c) the final interpolation constant
-        ssum = 0j
-        for i in range(1, m + 1):
-            term = 1.0 + 0j
-            for r in range(1, m):
-                term *= arr.gamma(m - 1, r) - arr.gamma(m, i) - h / 2
-            for k in range(1, m + 1):
-                if k != i:
-                    term /= arr.gamma(m, i) - arr.gamma(m, k)
-            ssum += term
-        got = -ssum / h
+        got = -sgn * sum(factor(g, rm1, h / 2) / factor(g, rm, skip=i)
+                         for i, g in enumerate(rm, start=1)) / h
         expect = ((-1) ** m) / h
         devs["final_constant"] = max(devs["final_constant"], abs(got - expect) * h)
         const_sign = 1 if got.real * h >= 0 else -1

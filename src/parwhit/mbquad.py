@@ -69,7 +69,7 @@ _CANCEL_BUDGET = 10.0
 _PROBE_NODES = 33
 _GROWTH = 1.5
 
-#: largest quadrature dimension supported by the 33^m contour probe of auto_contour
+#: largest m the 33^m contour probe of auto_contour serves (eval_mb serves every m)
 MAX_QUAD_DIM = 3
 
 
@@ -161,7 +161,6 @@ def eval_mb(
     estimate exceeds max_rel_err the quadrature is reported as non-converged
     (QuadratureError); pass max_rel_err=None to disable the check.
     """
-    require_quad_dim(s)
     c.validate_for(s)
     m, h = s.m, s.hbar
 
@@ -196,14 +195,6 @@ def eval_mb(
     return MBResult(value, err, c)
 
 
-def require_quad_dim(s: SpectralData) -> None:
-    """Refuse m > MAX_QUAD_DIM, where the 33^m probe of auto_contour is out of desk scale."""
-    if s.m > MAX_QUAD_DIM:
-        raise DeskScaleError(
-            f"m = {s.m} exceeds the desk-scale limit ({MAX_QUAD_DIM}) of the quadrature contour probe"
-        )
-
-
 def _contour_offset(s: SpectralData) -> float:
     """Offset of the contour above max(lambda).
 
@@ -227,13 +218,17 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     The half-extent T grows until the largest integrand magnitude on the
     truncation boundary of a coarse probe grid falls below tol times the
     largest magnitude in the interior; the node count then enforces both the
-    step bound hbar/4 and the aliasing/oscillation budget.  A node count
-    above MAX_NODES_PER_DIM raises QuadratureError before anything is allocated.
+    step bound hbar/4 and the aliasing/oscillation budget.  A node count above
+    MAX_NODES_PER_DIM raises QuadratureError before anything is allocated, and
+    before the probe when T = 2 hbar already exceeds it.
     """
     if not (tol > 0):
         raise ConfigError(f"tol must be > 0, got {tol}")
-    require_quad_dim(s)
     m, h = s.m, s.hbar
+    if m > MAX_QUAD_DIM:
+        raise DeskScaleError(
+            f"m = {m} exceeds the desk-scale limit ({MAX_QUAD_DIM}) of the quadrature contour probe"
+        )
     if s.N < 2 * m - 1:
         # |y_i| -> inf: the numerators decay like e^{-N pi |y| / (2 hbar)}, the
         # pair measure grows like e^{(m-1) pi |y| / hbar}
@@ -242,8 +237,21 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
             "the vertical contour needs N >= 2m-1"
         )
     eps = s.lam_max + _contour_offset(s)
+    delta = eps - s.lam_max
+    step = 2.0 * math.pi * delta / (_DISC_DECADES + (abs(s.x) + math.pi * (m - 1)) * delta / h)
+    step = min(step, h / 4.0)
+
+    def nodes(T: float) -> int:
+        span = 2.0 * T / step if step > 0 else math.inf
+        if not span < MAX_NODES_PER_DIM - 1:
+            raise QuadratureError(
+                f"the contour at x = {s.x:g} needs about {span:.3g} nodes per dimension, above the "
+                f"cap of {MAX_NODES_PER_DIM}; the oscillation e^(-x gamma / hbar) is too fast"
+            )
+        return max(16, int(math.ceil(span)) + 1)
 
     T = 2.0 * h
+    nodes(T)   # T only grows: refuse now if even the smallest truncation is too fine
     while True:
         if T > 200.0 * h * s.N:
             raise QuadratureError(
@@ -268,14 +276,4 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
             break
         T *= _GROWTH
 
-    delta = eps - s.lam_max
-    step = 2.0 * math.pi * delta / (_DISC_DECADES + (abs(s.x) + math.pi * (m - 1)) * delta / h)
-    step = min(step, h / 4.0)
-    span = 2.0 * T / step if step > 0 else math.inf
-    if not span < MAX_NODES_PER_DIM - 1:
-        raise QuadratureError(
-            f"the contour at x = {s.x:g} needs about {span:.3g} nodes per dimension, above the "
-            f"cap of {MAX_NODES_PER_DIM}; the oscillation e^(-x gamma / hbar) is too fast"
-        )
-    nodes = max(16, int(math.ceil(span)) + 1)
-    return ContourConfig(epsilon=eps, half_extent=T, nodes_per_dim=nodes)
+    return ContourConfig(epsilon=eps, half_extent=T, nodes_per_dim=nodes(T))

@@ -141,6 +141,7 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert json.loads(out)["error"]["type"] in ("QuadratureError", "DeskScaleError")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_contour_node_cap_exit3(self, capsys):
         # at x = 1e308 the contour would need ~1e307 nodes per dimension
         code, out = run(capsys, "eval", "--m", "1", "--N", "2", "--lambda", "0.3,-0.2",
@@ -239,7 +240,7 @@ class TestVerify:
         assert out1 == out2  # byte identical
         payload = json.loads(out1)
         assert payload["passed"] is True
-        assert {s["name"] if "name" in s else s["suite"] for s in payload["suites"]} == {
+        assert {s["suite"] for s in payload["suites"]} == {
             "combin-identities", "gz-operators", "left-whittaker", "right-support"}
 
     def test_perturbation_fails_left_suite_exit4(self, capsys):
@@ -247,7 +248,7 @@ class TestVerify:
                         "--perturb-psi-l", "1e-6")
         assert code == EXIT_VERIFY
         payload = json.loads(out)
-        suites = {s.get("name", s.get("suite")): s for s in payload["suites"]}
+        suites = {s["suite"]: s for s in payload["suites"]}
         assert not suites["left-whittaker"]["passed"]
         assert suites["combin-identities"]["passed"]
 
@@ -260,6 +261,15 @@ class TestVerify:
         code = main(["verify", "--m", "2", "--N", "4", "--hbar", hbar])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: hbar must be")
+
+    @pytest.mark.parametrize("hbar", ["1e300", "1e-300"])
+    def test_overflowing_hbar_domain_error_exit3(self, capsys, hbar):
+        # the test functions (1e300) and psi_L (1e-300) leave the double range
+        code, out = run(capsys, "verify", "--m", "2", "--N", "4", "--hbar", hbar)
+        assert code == EXIT_DOMAIN
+        error = json.loads(out)["error"]
+        assert error["type"] == "DomainError"
+        assert f"hbar = {float(hbar):g}" in error["message"]
 
 
 class TestOutputFile:

@@ -3,9 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parwhit.errors import CoincidentPointsError
-from parwhit.gz import combin1, combin2, separated_nodes
+from parwhit.gz import combin1, combin2, factor, separated_nodes
 
 from oracles import homogeneous_poly
+
+
+def test_factor_skip_offset_and_empty_row():
+    row = [1.0, 2.0, 4.0]
+    assert factor(3.0, row) == (3 - 1) * (3 - 2) * (3 - 4)
+    assert factor(3.0, row, 0.5, skip=2) == (3.5 - 1) * (3.5 - 4)   # skip is 1-based
+    assert factor(3.0, ()) == 1.0
+    # prod_k (row_k - g + off) over j factors is (-1)^j factor(g, row, -off)
+    assert factor(3.0, row, -0.5) * (-1) ** 3 == (1 - 3 + 0.5) * (2 - 3 + 0.5) * (4 - 3 + 0.5)
 
 
 def test_small_closed_form_cases():

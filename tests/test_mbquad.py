@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parwhit import (ContourConfig, SpectralData, auto_contour, eval_mb,
-                     integrand)
+                     eval_residue_series, integrand)
 from parwhit.errors import ConfigError, DeskScaleError, PoleError, QuadratureError
 from parwhit.spectral import MAX_NODES_PER_DIM
 
@@ -70,6 +70,7 @@ class TestAutoContour:
         with pytest.raises(DeskScaleError):
             auto_contour(s, 1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x", [-1e8, 1e308])
     def test_node_cap(self, x):
         # the step shrinks like 1/|x|; the search stops before a grid is allocated
@@ -150,6 +151,17 @@ class TestEvalMB:
             eval_mb(s, ContourConfig(epsilon=-0.5, half_extent=8.0, nodes_per_dim=129))
         with pytest.raises(ConfigError):
             eval_mb(s, ContourConfig(epsilon=1.0, half_extent=8.0, nodes_per_dim=17))
+
+
+class TestBeyondTheProbe:
+    def test_m4_on_a_given_contour_matches_the_series(self):
+        # the Andreief determinant serves every m; only auto_contour's probe stops at m = 3
+        lam = (1.31, 0.86, 0.37, -0.08, -0.61, -1.17, -1.52, -1.93)
+        s = SpectralData(m=4, N=8, lam=lam, hbar=1.0, x=-3.0)
+        r = eval_mb(s, ContourConfig(epsilon=max(lam) + 0.5, half_extent=30.0, nodes_per_dim=1201))
+        diff = abs((r.value / eval_residue_series(s).value).to_complex() - 1.0)
+        assert diff <= 1e-6
+        assert r.error_estimate >= diff
 
 
 class TestAndreiefReduction:
