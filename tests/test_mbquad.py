@@ -152,8 +152,6 @@ class TestEvalMB:
         with pytest.raises(ConfigError):
             eval_mb(s, ContourConfig(epsilon=1.0, half_extent=8.0, nodes_per_dim=17))
 
-
-class TestBeyondTheProbe:
     def test_m4_on_a_given_contour_matches_the_series(self):
         # the Andreief determinant serves every m; only auto_contour's probe stops at m = 3
         lam = (1.31, 0.86, 0.37, -0.08, -0.61, -1.17, -1.52, -1.93)
