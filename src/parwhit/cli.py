@@ -7,21 +7,18 @@ Subcommands:
     sweep   a table over an x grid with the value/asymptotic ratio column
     xval    cross-validation of all applicable evaluators at one instance
 
-Configuration precedence is CLI flags > config file (--config, a JSON object
-mirroring RunConfig field names) > built-in defaults.  Unknown config keys
-are rejected.  JSON is the canonical output format; CSV is offered for
-sweeps.  Exit codes: 0 success, 2 configuration error, 3 numerical-domain
-error, 4 verification failure.
+The flags are the only input: each sets the RunConfig field of the same
+name, and an unset flag keeps the field's default.  JSON is the canonical
+output format; CSV is offered for sweeps.  Exit codes: 0 success,
+2 configuration error, 3 numerical-domain error, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -36,7 +33,7 @@ from .gz.whittaker import VERIFY_TOL, verify_left_whittaker, verify_right_suppor
 from .logcomplex import LogComplex, rescaled_sum
 from .mbquad import auto_contour, eval_mb
 from .residues import eval_residue_series
-from .spectral import ContourConfig, SpectralData
+from .spectral import SpectralData
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,22 +50,9 @@ _FORMATS = ("json", "csv")
 _COMMANDS = ("eval", "asympt", "verify", "sweep", "xval")
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-#: value checks by RunConfig field annotation
-_CHECKS = {
-    "str": lambda v: isinstance(v, str),
-    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-    "float": _is_real,
-    "tuple[float, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)),
-}
-
-
 @dataclass
 class RunConfig:
-    """Everything a run needs; field names double as the config-file schema."""
+    """Everything a run needs: the parsed flags, under the flags' destination names."""
 
     command: str = "eval"
     m: int = 1
@@ -77,75 +61,15 @@ class RunConfig:
     hbar: float = 1.0
     x: float = 0.0
     method: str = "mb"
-    # contour overrides (None -> auto_contour)
-    epsilon: float | None = None
-    half_extent: float | None = None
-    nodes_per_dim: int | None = None
-    # verification
-    seed: int = DEFAULT_SEED
-    samples: int = 8
-    perturb_psi_l: float = 0.0
-    # sweep
-    x_grid: tuple[float, ...] = ()
-    # output
+    seed: int = DEFAULT_SEED                  # verification
+    x_grid: tuple[float, ...] = ()            # sweep
     out: str | None = None
     format: str = "json"
-
-    def __post_init__(self):
-        # field annotations double as the type schema (config-file values arrive unchecked)
-        for f in dataclasses.fields(self):
-            kind, _, optional = f.type.partition(" | ")
-            v = getattr(self, f.name)
-            if not (v is None and optional or _CHECKS[kind](v)):
-                raise ConfigError(f"{f.name} must be {kind}{' or null' if optional else ''}, got {v!r}")
-        if self.command not in _COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.method not in _METHODS:
-            raise ConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.format not in _FORMATS:
-            raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
-        if self.lam is not None:
-            self.lam = tuple(float(v) for v in self.lam)
-        self.x_grid = tuple(float(v) for v in self.x_grid)
 
     def spectral(self, x: float | None = None) -> SpectralData:
         lam = self.lam if self.lam is not None else tuple(0.0 for _ in range(self.N))
         return SpectralData(m=self.m, N=self.N, lam=lam, hbar=self.hbar,
                             x=self.x if x is None else x)
-
-    def contour(self, s: SpectralData) -> ContourConfig:
-        """The override fields, any left unset filled from one auto_contour search."""
-        overrides = {k: getattr(self, k) for k in ("epsilon", "half_extent", "nodes_per_dim")
-                     if getattr(self, k) is not None}
-        if len(overrides) == 3:
-            return ContourConfig(**overrides)
-        return dataclasses.replace(auto_contour(s, CONTOUR_TOL), **overrides)
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in dataclasses.fields(cls)}
-
-    @classmethod
-    def from_sources(cls, cli: dict, config_path: str | None) -> "RunConfig":
-        """Merge defaults < config file < CLI flags; reject unknown file keys."""
-        merged: dict = {}
-        if config_path is not None:
-            try:
-                with open(config_path, "r", encoding="utf-8") as fh:
-                    file_cfg = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-            if not isinstance(file_cfg, dict):
-                raise ConfigError("config file must hold a JSON object")
-            unknown = set(file_cfg) - cls.field_names()
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            merged.update(file_cfg)
-        merged.update({k: v for k, v in cli.items() if v is not None})
-        try:
-            return cls(**merged)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _value_payload(v: LogComplex) -> dict:
@@ -159,33 +83,17 @@ def _value_payload(v: LogComplex) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One evaluation result; serialization round-trips exactly through JSON."""
-
-    inputs: dict
-    method: str
-    value: dict
-    error_estimate: float
-    wall_time: float
-    library_version: str = __version__
-    diagnostics: dict = dataclasses.field(default_factory=dict)   # how the value was obtained
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def _inputs_echo(cfg: RunConfig, s: SpectralData) -> dict:
     return {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x,
             "method": cfg.method, "seed": cfg.seed}
 
 
-def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex, ResultRecord]:
+def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex, dict]:
     """One value by method ("mb", "residue" or "asymptotic") and its timed record."""
     t0 = time.perf_counter()
     diagnostics = {}
     if method == "mb":
-        res = eval_mb(s, cfg.contour(s), max_rel_err=1e-3)
+        res = eval_mb(s, auto_contour(s, CONTOUR_TOL))
         value, err = res.value, res.error_estimate
     elif method == "residue":
         res = eval_residue_series(s)
@@ -193,9 +101,10 @@ def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex,
         diagnostics = {"orders_summed": res.orders_summed, "terms": res.terms}
     else:
         value, err = leading_asymptotic(s), 0.0
-    rec = ResultRecord(_inputs_echo(cfg, s), method, _value_payload(value), err,
-                       time.perf_counter() - t0, diagnostics=diagnostics)
-    return value, rec
+    return value, {"inputs": _inputs_echo(cfg, s), "method": method,
+                   "value": _value_payload(value), "error_estimate": err,
+                   "wall_time": time.perf_counter() - t0, "library_version": __version__,
+                   "diagnostics": diagnostics}
 
 
 def _value_methods(cfg: RunConfig, x: float) -> list[str]:
@@ -222,7 +131,7 @@ def cmd_value(cfg: RunConfig) -> dict:
     values, records = {}, []
     for method in _value_methods(cfg, s.x):
         values[method], rec = _evaluate(cfg, s, method)
-        records.append(rec.to_dict())
+        records.append(rec)
     discrepancies = {f"{a}/{b}": _rel_discrepancy(values[a], values[b])
                      for a, b in itertools.combinations(values, 2)}
     out = {"schema": SCHEMA_VERSION, "command": cfg.command, "records": records}
@@ -245,8 +154,8 @@ def cmd_sweep(cfg: RunConfig) -> dict:
                 if asym is None:
                     asym = leading_asymptotic(s)
                 ratio = value / asym
-                row.update(rec.value)
-                row["error_estimate"] = rec.error_estimate
+                row.update(rec["value"])
+                row["error_estimate"] = rec["error_estimate"]
                 row["ratio_to_asymptotic"] = (
                     math.exp(ratio.log_mag) * math.cos(ratio.phase) if ratio.log_mag < 700 else math.nan
                 )
@@ -286,12 +195,9 @@ def cmd_verify(cfg: RunConfig) -> dict:
     worst, tol = check_combin_identities(cfg.seed), 1e-11
     suites = [{"suite": "combin-identities", "passed": worst <= tol, "max_deviation": worst, "tol": tol},
               _operator_suite(cfg)]
-    left = verify_left_whittaker(cfg.m, cfg.N, samples=cfg.samples, seed=cfg.seed,
-                                 hbar=cfg.hbar, perturb=cfg.perturb_psi_l)
-    suites.append(left.to_dict())
-    right = verify_right_support_relations(cfg.m, cfg.N, samples=max(cfg.samples, 20),
-                                           seed=cfg.seed, hbar=cfg.hbar)
-    suites.append(right.to_dict())
+    left = verify_left_whittaker(cfg.m, cfg.N, samples=8, seed=cfg.seed, hbar=cfg.hbar)
+    right = verify_right_support_relations(cfg.m, cfg.N, samples=20, seed=cfg.seed, hbar=cfg.hbar)
+    suites += [left.to_dict(), right.to_dict()]
     passed = all(s["passed"] for s in suites)
     return {"schema": SCHEMA_VERSION, "command": "verify", "seed": cfg.seed,
             "m": cfg.m, "N": cfg.N, "hbar": cfg.hbar,
@@ -341,16 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hbar", type=float, default=None)
         p.add_argument("--x", type=float, default=None)
         p.add_argument("--method", choices=_METHODS, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--half-extent", dest="half_extent", type=float, default=None)
-        p.add_argument("--nodes-per-dim", dest="nodes_per_dim", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--perturb-psi-l", dest="perturb_psi_l", type=float, default=None,
-                       help="test hook: offset one psi_L gamma argument")
         p.add_argument("--x-grid", dest="x_grid", type=str, default=None,
                        help="comma-separated x values for sweep; use --x-grid=-2,-4 for negative leads")
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=_FORMATS, default=None)
     return parser
@@ -361,20 +260,16 @@ _DISPATCH = {"verify": cmd_verify, "sweep": cmd_sweep}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; preserve those
         return int(exc.code or 0)
-    cli = vars(args).copy()
-    config_path = cli.pop("config", None)
-    if cli.get("lam") is not None:
-        cli["lam"] = _parse_float_list(cli["lam"])
-    if cli.get("x_grid") is not None:
-        cli["x_grid"] = _parse_float_list(cli["x_grid"])
     try:
-        cfg = RunConfig.from_sources(cli, config_path)
+        for name in ("lam", "x_grid"):
+            if getattr(args, name) is not None:
+                setattr(args, name, _parse_float_list(getattr(args, name)))
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
         payload = _DISPATCH.get(cfg.command, cmd_value)(cfg)
         _emit(payload, cfg)
     except ConfigError as exc:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DomainError, VerificationError
-from ..gammafns import log_gamma1, on_pole_lattice
+from ..gammafns import _checked_hbar, log_gamma1, on_pole_lattice
 from .arrays import SupportConstraints, TriangularArray, random_array
 from .combin import factor
 from .operators import adjoint, coxeter_cycle, twist
@@ -40,6 +40,23 @@ _MAX_RESAMPLE = 50
 
 #: largest deviation an operator or Whittaker-vector identity check may show and pass
 VERIFY_TOL = 1e-9
+
+#: the hbar the verifiers certify.  Their arrays are sampled at unit scale: far below
+#: it the gamma1 block logs grow like |z/hbar| and their differences lose the digits
+#: VERIFY_TOL needs (1.8e-9 at hbar = 1e-5), far above it every z/hbar falls inside
+#: the pole margin and resampling runs out (from hbar = 10 at N = 6).
+HBAR_RANGE = (1e-3, 4.0)
+
+
+def _verified_hbar(hbar: float | None, rng: np.random.Generator) -> float:
+    """hbar, or one drawn from [0.7, 1.5) when None; DomainError outside HBAR_RANGE."""
+    if hbar is None:
+        return float(rng.uniform(0.7, 1.5))
+    h = _checked_hbar(hbar)
+    if not HBAR_RANGE[0] <= h <= HBAR_RANGE[1]:
+        raise DomainError(f"the Whittaker verifiers certify hbar in [{HBAR_RANGE[0]:g}, "
+                          f"{HBAR_RANGE[1]:g}], got hbar = {h:g}")
+    return h
 
 
 def _block_args(arr: TriangularArray, n: int, p: int, h: float) -> np.ndarray:
@@ -107,7 +124,7 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    h = float(hbar) if hbar is not None else float(rng.uniform(0.7, 1.5))
+    h = _verified_hbar(hbar, rng)
     w = coxeter_cycle(m, N)
     winv = [0] * N
     for a, wa in enumerate(w, start=1):
@@ -197,7 +214,7 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    h = float(hbar) if hbar is not None else float(rng.uniform(0.7, 1.5))
+    h = _verified_hbar(hbar, rng)
     sc = SupportConstraints(m, N, h)   # validates 2 <= m < N
 
     devs = {"outer_shift": 0.0, "inner_shift": 0.0, "double_shift": 0.0,

@@ -59,6 +59,8 @@ __all__ = ["SeriesResult", "residue_term", "eval_residue_series"]
 MAX_ORDER = 40
 #: early stop: two consecutive order sums below SERIES_TOL relative to the running total
 SERIES_TOL = 1e-12
+#: the largest tail_estimate served, the default bound of eval_mb
+MAX_TAIL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,8 @@ def eval_residue_series(s: SpectralData) -> SeriesResult:
 
     Stops early once two consecutive order sums fall below SERIES_TOL
     relative to the running total (the orders decay like e^{x * order}).
+    Raises DomainError when that rule is not met within MAX_ORDER orders or
+    the tail estimate exceeds MAX_TAIL.
     """
     if s.x >= 0:
         raise DomainError(f"residue series requires x < 0, got x = {s.x}")
@@ -132,7 +136,6 @@ def eval_residue_series(s: SpectralData) -> SeriesResult:
     total = LogComplex.zero()
     last_rel = math.inf
     small_streak = 0
-    orders = 0
     n_terms = 0
     peak = -math.inf
     for order in range(K + 1):
@@ -157,7 +160,6 @@ def eval_residue_series(s: SpectralData) -> SeriesResult:
         peak = max(peak, top)
         running.append(osum)
         total = rescaled_sum(running)
-        orders = order + 1
         if not total.is_zero:
             last_rel = 0.0 if osum.is_zero else math.exp(osum.log_mag - total.log_mag)
             if order >= 3 and last_rel <= SERIES_TOL:
@@ -166,9 +168,15 @@ def eval_residue_series(s: SpectralData) -> SeriesResult:
                     break
             else:
                 small_streak = 0
+    else:
+        raise DomainError(f"residue series has not met its stop rule by order {K} "
+                          f"(hbar = {h:g}, x = {s.x:g})")
     # round-off: a term e^L computed from its log carries a relative error of
     # about eps * (1 + |L|); n_terms of them at up to the peak magnitude
-    noise = 0.0 if total.is_zero else 2e-16 * math.sqrt(n_terms) * (1.0 + abs(peak)) * math.exp(
+    noise = 2e-16 * math.sqrt(n_terms) * (1.0 + abs(peak)) * math.exp(
         min(700.0, peak - total.log_mag))
-    return SeriesResult(value=total, tail_estimate=last_rel + noise, orders_summed=orders,
-                        terms=n_terms)
+    tail = last_rel + noise
+    if tail > MAX_TAIL:
+        raise DomainError(f"residue series tail estimate {tail:.3g} exceeds {MAX_TAIL:g} "
+                          f"(hbar = {h:g}, x = {s.x:g})")
+    return SeriesResult(value=total, tail_estimate=tail, orders_summed=order + 1, terms=n_terms)

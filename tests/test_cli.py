@@ -1,11 +1,17 @@
+import dataclasses
+import functools
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from parwhit.cli import (_COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY,
-                         ResultRecord, RunConfig, build_parser, main)
-from parwhit.errors import ConfigError
+from parwhit import cli
+from parwhit.cli import (_COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY, RunConfig,
+                         build_parser, main)
+from parwhit.gz.whittaker import verify_left_whittaker
 
 from oracles import BESSEL_REFERENCE
 
@@ -17,76 +23,31 @@ def run(capsys, *argv):
 
 
 class TestRunConfig:
-    def test_unknown_config_keys_rejected(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"m": 1, "bogus_key": 3}))
-        with pytest.raises(ConfigError, match="bogus_key"):
-            RunConfig.from_sources({"command": "eval"}, str(p))
-
-    def test_precedence_cli_over_file(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"m": 1, "N": 3, "lam": [0.5, 0.0, -0.5], "x": -1.0}))
-        cfg = RunConfig.from_sources({"command": "eval", "x": -2.0}, str(p))
-        assert cfg.x == -2.0 and cfg.N == 3
-
-    @pytest.mark.parametrize("argv,cfg", [
-        (["sweep"], {"x_grid": None}),
-        (["eval"], {"hbar": None}),
-        (["eval"], {"hbar": "1"}),
-        (["eval"], {"x": "a"}),
-        (["eval"], {"nodes_per_dim": "64"}),
-        (["eval"], {"lam": [1, "a"]}),
-        (["verify", "--m", "2", "--N", "3"], {"seed": None}),
-        (["verify", "--m", "2", "--N", "3"], {"samples": None}),
-        (["verify", "--m", "2", "--N", "3"], {"perturb_psi_l": None}),
-    ])
-    def test_mistyped_config_values_exit2(self, tmp_path, capsys, argv, cfg):
-        # a wrong-typed file value is a config error, not a traceback from deep inside a command
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        assert main(argv + ["--config", str(p)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {next(iter(cfg))} must be")
-
     def test_bad_method(self):
-        with pytest.raises(ConfigError):
-            RunConfig(command="eval", method="simpson")
+        assert main(["eval", "--method", "simpson"]) == EXIT_CONFIG
+
+    def test_bad_float_list_exit2(self, capsys):
+        assert main(["eval", "--lambda", "1,a"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot parse float list")
 
     @pytest.mark.parametrize("command", _COMMANDS)
     def test_flags_are_the_config_fields(self, command):
-        # every flag but --config sets one RunConfig field, and every field has a flag
-        dests = set(vars(build_parser().parse_args([command]))) - {"config"}
-        assert dests == RunConfig.field_names()
+        # every flag sets one RunConfig field, and every field has a flag
+        dests = set(vars(build_parser().parse_args([command])))
+        assert dests == {f.name for f in dataclasses.fields(RunConfig)}
 
 
-class TestResultRecord:
-    def test_roundtrip_exact(self):
-        rec = ResultRecord(
-            inputs={"m": 1, "N": 2, "lambda": [0.0, 0.0], "hbar": 1.0, "x": 0.125,
-                    "method": "mb", "seed": 7},
-            method="mb",
-            value={"log_mag": -1.479512368, "phase": 0.0, "re": 0.2277877, "im": 0.0},
-            error_estimate=2.5e-9,
-            wall_time=0.0123,
-        )
-        blob = json.dumps(rec.to_dict(), sort_keys=True)
-        assert ResultRecord(**json.loads(blob)) == rec
-
-    def test_diagnostics_roundtrip_and_optional(self):
-        rec = ResultRecord(
-            inputs={"m": 1, "N": 3, "lambda": [0.7, 0.0, -0.9], "hbar": 1.0, "x": -3.0,
-                    "method": "residue", "seed": 7},
-            method="residue",
-            value={"log_mag": 1.25, "phase": 0.0, "re": 3.4903429574618414, "im": 0.0},
-            error_estimate=1e-15,
-            wall_time=0.001,
-            diagnostics={"orders_summed": 8, "terms": 24},
-        )
-        d = json.loads(json.dumps(rec.to_dict(), sort_keys=True))
-        assert d["diagnostics"] == {"orders_summed": 8, "terms": 24}
-        assert ResultRecord(**d) == rec
-        # the field is optional: a record built without it carries an empty one
-        del d["diagnostics"]
-        assert ResultRecord(**d).diagnostics == {}
+class TestRecord:
+    def test_record_keys(self, capsys):
+        code, out = run(capsys, "eval", "--m", "1", "--N", "3", "--lambda", "0.7,0,-0.9",
+                        "--x", "-2", "--method", "both")
+        assert code == EXIT_OK
+        records = json.loads(out)["records"]
+        assert [r["method"] for r in records] == ["mb", "residue"]
+        for rec in records:
+            assert set(rec) == {"inputs", "method", "value", "error_estimate", "wall_time",
+                                "library_version", "diagnostics"}
+        assert records[0]["diagnostics"] == {}
 
 
 class TestEval:
@@ -113,6 +74,13 @@ class TestEval:
         payload = json.loads(out)
         assert payload["discrepancy"] <= 1e-6
         assert len(payload["records"]) == 2
+
+    def test_uncertified_residue_series_exit3(self, capsys):
+        code, out = run(capsys, "eval", "--m", "3", "--N", "5",
+                        "--lambda", "0.62,0.31,0,-0.33,-0.67", "--hbar", "0.1", "--x=-1",
+                        "--method", "residue")
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"]["type"] == "DomainError"
 
     def test_residue_records_carry_series_diagnostics(self, capsys):
         from parwhit import SpectralData, eval_residue_series
@@ -243,9 +211,10 @@ class TestVerify:
         assert {s["suite"] for s in payload["suites"]} == {
             "combin-identities", "gz-operators", "left-whittaker", "right-support"}
 
-    def test_perturbation_fails_left_suite_exit4(self, capsys):
-        code, out = run(capsys, "verify", "--m", "2", "--N", "4", "--seed", "11",
-                        "--perturb-psi-l", "1e-6")
+    def test_perturbation_fails_left_suite_exit4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_left_whittaker",
+                            functools.partial(verify_left_whittaker, perturb=1e-6))
+        code, out = run(capsys, "verify", "--m", "2", "--N", "4", "--seed", "11")
         assert code == EXIT_VERIFY
         payload = json.loads(out)
         suites = {s["suite"]: s for s in payload["suites"]}
@@ -301,22 +270,17 @@ class TestEvalDeterminism:
         assert p1 == p2
 
 
-class TestContourOverrides:
-    def test_full_manual_contour_bypasses_auto_search(self, capsys):
-        # full overrides must work even where the automatic truncation
-        # search would give up (slow-decay instance)
-        code, out = run(capsys, "eval", "--m", "3", "--N", "4",
-                        "--lambda", "0.9,0.3,-0.4,-1.05", "--x", "-1",
-                        "--epsilon", "1.4", "--half-extent", "12", "--nodes-per-dim", "97",
-                        "--method", "mb")
-        # a value is produced (convergence check may flag it; both are fine here)
-        assert code in (EXIT_OK, EXIT_DOMAIN)
-        payload = json.loads(out)
-        assert ("records" in payload) or (payload.get("error", {}).get("type") == "QuadratureError")
+def _readme_commands() -> list[str]:
+    """The parwhit lines of the README's CLI and experiment-script blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^## (?:CLI|Experiment scripts)\n.*?^```\n(.*?)^```", text,
+                        re.MULTILINE | re.DOTALL)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("parwhit ")]
 
-    def test_partial_override_fills_from_auto(self, capsys):
-        code, out = run(capsys, "eval", "--m", "1", "--N", "2", "--lambda", "0,0",
-                        "--nodes-per-dim", "301")
-        assert code == EXIT_OK
-        rec = json.loads(out)["records"][0]
-        assert rec["value"]["re"] == pytest.approx(BESSEL_REFERENCE[0.0], rel=1e-8)
+
+def test_readme_commands_run(capsys):
+    # the docs advertise only flags the parser accepts, in calls that succeed
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == EXIT_OK, line

@@ -10,7 +10,7 @@ from parwhit.gz import (DifferenceOperator, SupportConstraints, TriangularArray,
                         random_array, twist)
 from parwhit.gz.identity import (BracketCheck, check_brackets, check_build_EnN,
                                  operator_deviation, random_test_function)
-from parwhit.errors import ConfigError
+from parwhit.errors import ConfigError, DomainError
 
 from oracles import gz_measure
 
@@ -95,6 +95,14 @@ class TestCommutator:
         for N in (2, 3, 4):
             assert max(c.deviation for c in check_brackets(N, H, 4, 4, seed=10)) <= 1e-10
         assert max(c.deviation for c in check_serre(4, H, 4, 4, seed=11)) <= 1e-10
+
+
+    @pytest.mark.parametrize("check,seed", [(check_brackets, 0), (check_build_EnN, 1)])
+    def test_overflowing_values_are_refused(self, check, seed):
+        # at hbar = 1e-300 an operator applied to a test function gives nan + nanj;
+        # a NaN deviation must not read as a pass
+        with pytest.raises(DomainError, match="hbar = 1e-300"):
+            check(4, 1e-300, 5, 5, seed)
 
 
 class TestBuildEnN:

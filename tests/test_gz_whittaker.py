@@ -1,10 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from parwhit.errors import ConfigError, SupportError
+from parwhit.errors import ConfigError, DomainError, SupportError
 from parwhit.gz import (SupportConstraints, TriangularArray, psi_L,
                         random_array, verify_left_whittaker,
                         verify_right_support_relations)
@@ -110,6 +111,16 @@ class TestRightSupport:
         b = verify_right_support_relations(2, 4, samples=8, seed=11)
         assert a.to_dict() == b.to_dict()
 
+
+
+@pytest.mark.parametrize("verify,hbar", [
+    (verify_right_support_relations, 1e-300),   # block logs of 1e302 leave no digits
+    (verify_right_support_relations, 1e300),    # every z/hbar inside the pole margin
+    (verify_left_whittaker, 1e300),             # psi_L underflows on every draw
+])
+def test_uncertifiable_hbar_is_a_domain_error(verify, hbar):
+    with pytest.raises(DomainError, match=re.escape(f"hbar = {hbar:g}")):
+        verify(2, 4, hbar=hbar)
 
 def test_final_constant_degenerate_m1():
     # with a single row-m entry the interpolation sum is an empty product = 1,

@@ -127,13 +127,20 @@ class TestSeries:
         assert res.tail_estimate >= err
 
     def test_order_cap_bounds_the_sum(self):
-        # at hbar = 0.1 the order-n terms carry hbar^-n / n!, which peaks near n = 10
-        # and has not decayed by MAX_ORDER: the sum stops at the cap, and says so
-        res = eval_residue_series(make(1, 2, (0.33, -0.21), hbar=0.1, x=-0.5))
-        assert res.orders_summed == MAX_ORDER + 1
-        assert res.tail_estimate > 1e-3
+        # at hbar = 0.1 the order-n terms carry hbar^-n / n!, which peaks near n = 10:
+        # the sum needs every order up to the cap and cancels far below its largest
+        # terms, so the series refuses it (round-off estimate 1.2e-2) rather than serve it
+        with pytest.raises(DomainError, match="tail estimate"):
+            eval_residue_series(make(1, 2, (0.33, -0.21), hbar=0.1, x=-0.5))
         res = eval_residue_series(make(1, 2, (0.33, -0.21), hbar=1.0, x=-0.5))
         assert res.orders_summed < MAX_ORDER + 1 and res.tail_estimate < 1e3 * SERIES_TOL
+
+    @pytest.mark.parametrize("hbar,match", [(0.1, "stop rule"), (0.25, "tail estimate 38.8")])
+    def test_uncertified_sum_is_refused(self, hbar, match):
+        # (3,5) at x = -1: the sum at hbar = 0.1 was -7.9e22 - 9.8e22i and at 0.25
+        # -0.022 + 0.057i (estimate 38.8), against 1.6e-28 and 1.9e-11
+        with pytest.raises(DomainError, match=match):
+            eval_residue_series(make(3, 5, (0.62, 0.31, 0.0, -0.33, -0.67), hbar=hbar, x=-1.0))
 
 
 class TestPoleTables:
