@@ -96,7 +96,6 @@ class TestCommutator:
             assert max(c.deviation for c in check_brackets(N, H, 4, 4, seed=10)) <= 1e-10
         assert max(c.deviation for c in check_serre(4, H, 4, 4, seed=11)) <= 1e-10
 
-
     @pytest.mark.parametrize("check,seed", [(check_brackets, 0), (check_build_EnN, 1)])
     def test_overflowing_values_are_refused(self, check, seed):
         # at hbar = 1e-300 an operator applied to a test function gives nan + nanj;

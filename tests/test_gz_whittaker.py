@@ -112,7 +112,6 @@ class TestRightSupport:
         assert a.to_dict() == b.to_dict()
 
 
-
 @pytest.mark.parametrize("verify,hbar", [
     (verify_right_support_relations, 1e-300),   # block logs of 1e302 leave no digits
     (verify_right_support_relations, 1e300),    # every z/hbar inside the pole margin
@@ -121,6 +120,7 @@ class TestRightSupport:
 def test_uncertifiable_hbar_is_a_domain_error(verify, hbar):
     with pytest.raises(DomainError, match=re.escape(f"hbar = {hbar:g}")):
         verify(2, 4, hbar=hbar)
+
 
 def test_final_constant_degenerate_m1():
     # with a single row-m entry the interpolation sum is an empty product = 1,
