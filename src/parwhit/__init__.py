@@ -8,11 +8,10 @@ the Gelfand-Zetlin difference-operator scaffolding behind those formulas.
 
 __version__ = "0.1.0"
 
-from .asympt import coset_coefficient, enumerate_cosets, leading_asymptotic
+from .asympt import leading_asymptotic
 from .errors import (CoincidentPointsError, ConfigError, DeskScaleError,
                      DomainError, GenericityError, ParwhitError, PoleError,
                      QuadratureError, SupportError, VerificationError)
-from .gammafns import gamma1, log_gamma, recip_gamma1
 from .logcomplex import LogComplex, rescaled_sum
 from .mbquad import MBResult, auto_contour, eval_mb, integrand
 from .residues import SeriesResult, eval_residue_series, residue_term
@@ -21,11 +20,10 @@ from .spectral import ContourConfig, SpectralData
 __all__ = [
     "__version__",
     "LogComplex", "rescaled_sum",
-    "log_gamma", "gamma1", "recip_gamma1",
     "SpectralData", "ContourConfig",
     "MBResult", "integrand", "eval_mb", "auto_contour",
     "SeriesResult", "residue_term", "eval_residue_series",
-    "enumerate_cosets", "coset_coefficient", "leading_asymptotic",
+    "leading_asymptotic",
     "ParwhitError", "ConfigError", "DomainError", "PoleError",
     "GenericityError", "CoincidentPointsError", "DeskScaleError",
     "QuadratureError", "SupportError", "VerificationError",

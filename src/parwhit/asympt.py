@@ -25,19 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PoleError
-from .gammafns import _checked_hbar, log_gamma1, on_pole_lattice
+from .errors import PoleError
+from .gammafns import log_gamma1, on_pole_lattice
 from .logcomplex import LogComplex, rescaled_sum
 from .spectral import SpectralData
 
-__all__ = ["enumerate_cosets", "coset_coefficient", "leading_asymptotic"]
-
-
-def enumerate_cosets(m: int, N: int) -> list[tuple[int, ...]]:
-    """All m-subsets of {1..N} in lexicographic order (C(N, m) of them)."""
-    if not 1 <= m < N:
-        raise ConfigError(f"need 1 <= m < N, got m={m}, N={N}")
-    return list(itertools.combinations(range(1, N + 1), m))
+__all__ = ["leading_asymptotic"]
 
 
 def _coset_logs(cosets: Sequence[Sequence[int]], lam: np.ndarray, hbar: float) -> np.ndarray:
@@ -62,22 +55,10 @@ def _coset_logs(cosets: Sequence[Sequence[int]], lam: np.ndarray, hbar: float) -
     return np.where(cross, table, 0.0).sum(axis=(1, 2))
 
 
-def coset_coefficient(S: Sequence[int], lam: Sequence[float], hbar: float) -> LogComplex:
-    """prod_{i in S, j not in S} gamma1(lambda_i - lambda_j | hbar).
-
-    Raises PoleError (naming the pair) when some lambda_i - lambda_j with
-    i in S, j outside lands on the gamma1 pole lattice.
-    """
-    if not set(S) <= set(range(1, len(lam) + 1)):
-        raise ConfigError(f"coset {tuple(S)} needs indices in 1..{len(lam)}")
-    logs = _coset_logs([tuple(S)], np.asarray(lam, dtype=float), _checked_hbar(hbar))
-    return LogComplex.from_log(complex(logs[0]))
-
-
 def leading_asymptotic(s: SpectralData) -> LogComplex:
     """m! * hbar^m * sum over cosets of the exponential-weighted coefficients."""
     h = s.hbar
-    cosets = enumerate_cosets(s.m, s.N)
+    cosets = list(itertools.combinations(range(1, s.N + 1), s.m))
     expo = [-(s.x / h) * math.fsum(s.lam[i - 1] for i in S) for S in cosets]
     log_pref = math.log(math.factorial(s.m)) + s.m * math.log(h)
     logs = _coset_logs(cosets, s.lam_array, h) + expo + log_pref

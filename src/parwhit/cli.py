@@ -9,7 +9,8 @@ Subcommands:
 
 The flags are the only input: each sets the RunConfig field of the same
 name, and an unset flag keeps the field's default.  JSON is the canonical
-output format; CSV is offered for sweeps.  Exit codes: 0 success,
+output format, strict: a non-finite float is written as null.  CSV is
+offered for sweeps.  Exit codes: 0 success,
 2 configuration error, 3 numerical-domain error, 4 verification failure.
 """
 
@@ -192,6 +193,8 @@ def _operator_suite(cfg: RunConfig) -> dict:
 def cmd_verify(cfg: RunConfig) -> dict:
     if not 2 <= cfg.m < cfg.N:
         raise ConfigError(f"verify needs 2 <= m < N, got m={cfg.m}, N={cfg.N}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     worst, tol = check_combin_identities(cfg.seed), 1e-11
     suites = [{"suite": "combin-identities", "passed": worst <= tol, "max_deviation": worst, "tol": tol},
               _operator_suite(cfg)]
@@ -204,13 +207,24 @@ def cmd_verify(cfg: RunConfig) -> dict:
             "suites": suites, "passed": passed}
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _emit(payload: dict, cfg: RunConfig) -> None:
     if cfg.format == "csv":
         if payload.get("command") != "sweep":
             raise ConfigError("csv output is only available for sweep")
         text = _sweep_csv(payload)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:

@@ -17,23 +17,19 @@ Two kernels carry all of it, and this is the only module that calls scipy:
                          integer, the pole set of Gamma(w).
 
 The quadrature, the residue tables, the coset sum and the GZ Whittaker vector
-call these two.  The public wrappers check their input: gamma1 returns a
-LogComplex and raises PoleError on the pole set; the reciprocal, which is
-entire, is returned as an ordinary complex with exact zeros there.
+call these two.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 from scipy.special import loggamma as _loggamma
 
-from .errors import ConfigError, PoleError
-from .logcomplex import LogComplex
+from .errors import ConfigError
 
-__all__ = ["log_gamma1", "on_pole_lattice", "log_gamma", "gamma1", "recip_gamma1", "POLE_TOL"]
+__all__ = ["log_gamma1", "on_pole_lattice", "POLE_TOL"]
 
 #: distance (in units of hbar for gamma1) below which an argument counts as a pole
 POLE_TOL = 1e-12
@@ -62,36 +58,3 @@ def _checked_hbar(hbar) -> float:
     if not (isinstance(hbar, (int, float)) and math.isfinite(hbar) and hbar > 0):
         raise ConfigError(f"hbar must be a finite real > 0, got {hbar!r}")
     return float(hbar)
-
-
-def log_gamma(z: complex) -> LogComplex:
-    """Gamma(z) in log form (principal branch).
-
-    Raises PoleError when z is within POLE_TOL of a nonpositive integer.
-    """
-    return gamma1(z, 1.0)
-
-
-def gamma1(z: complex, hbar: float) -> LogComplex:
-    """The rescaled gamma hbar^(z/hbar) Gamma(z/hbar) in log form.
-
-    Raises PoleError when z/hbar is within POLE_TOL of a nonpositive integer.
-    """
-    h = _checked_hbar(hbar)
-    z = complex(z)
-    if on_pole_lattice(z / h):
-        raise PoleError(f"gamma1 pole: z = {z} is within tolerance of {round(z.real / h)}*hbar")
-    return LogComplex.from_log(complex(log_gamma1(z, h)))
-
-
-def recip_gamma1(z: complex, hbar: float) -> complex:
-    """1 / gamma1(z|hbar) as an ordinary complex; entire in z.
-
-    Returns exactly 0 when z sits on the pole set z = -n*hbar (within
-    POLE_TOL in units of hbar), where the reciprocal has its zeros.
-    """
-    h = _checked_hbar(hbar)
-    z = complex(z)
-    if on_pole_lattice(z / h):
-        return 0j
-    return cmath.exp(-complex(log_gamma1(z, h)))

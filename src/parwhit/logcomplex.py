@@ -63,12 +63,6 @@ class LogComplex:
         w = complex(w)
         return cls(w.real, wrap_phase(w.imag))
 
-    @classmethod
-    def from_real(cls, r: float) -> "LogComplex":
-        if r == 0:
-            return cls.zero()
-        return cls(math.log(abs(r)), 0.0 if r > 0 else math.pi)
-
     @property
     def is_zero(self) -> bool:
         return self.log_mag == -math.inf

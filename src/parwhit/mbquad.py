@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ConfigError, DeskScaleError, PoleError, QuadratureError
 from .gammafns import log_gamma1, on_pole_lattice
 from .logcomplex import LogComplex
-from .spectral import MAX_NODES_PER_DIM, ContourConfig, SpectralData
+from .spectral import MAX_NODES_PER_DIM, MAX_REL_ERR, ContourConfig, SpectralData
 
 __all__ = ["MBResult", "integrand", "eval_mb", "auto_contour"]
 
@@ -153,7 +153,7 @@ def eval_mb(
     s: SpectralData,
     c: ContourConfig,
     *,
-    max_rel_err: float | None = 1e-3,
+    max_rel_err: float | None = MAX_REL_ERR,
 ) -> MBResult:
     """Trapezoid approximation of the MB integral on the contour c.
 

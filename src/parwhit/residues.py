@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .gammafns import log_gamma1
 from .logcomplex import LogComplex, rescaled_sum
-from .spectral import SpectralData
+from .spectral import MAX_REL_ERR, SpectralData
 
 __all__ = ["SeriesResult", "residue_term", "eval_residue_series"]
 
@@ -59,8 +59,6 @@ __all__ = ["SeriesResult", "residue_term", "eval_residue_series"]
 MAX_ORDER = 40
 #: early stop: two consecutive order sums below SERIES_TOL relative to the running total
 SERIES_TOL = 1e-12
-#: the largest tail_estimate served, the default bound of eval_mb
-MAX_TAIL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def eval_residue_series(s: SpectralData) -> SeriesResult:
     Stops early once two consecutive order sums fall below SERIES_TOL
     relative to the running total (the orders decay like e^{x * order}).
     Raises DomainError when that rule is not met within MAX_ORDER orders or
-    the tail estimate exceeds MAX_TAIL.
+    the tail estimate exceeds MAX_REL_ERR.
     """
     if s.x >= 0:
         raise DomainError(f"residue series requires x < 0, got x = {s.x}")
@@ -176,7 +174,7 @@ def eval_residue_series(s: SpectralData) -> SeriesResult:
     noise = 2e-16 * math.sqrt(n_terms) * (1.0 + abs(peak)) * math.exp(
         min(700.0, peak - total.log_mag))
     tail = last_rel + noise
-    if tail > MAX_TAIL:
-        raise DomainError(f"residue series tail estimate {tail:.3g} exceeds {MAX_TAIL:g} "
+    if tail > MAX_REL_ERR:
+        raise DomainError(f"residue series tail estimate {tail:.3g} exceeds {MAX_REL_ERR:g} "
                           f"(hbar = {h:g}, x = {s.x:g})")
     return SeriesResult(value=total, tail_estimate=tail, orders_summed=order + 1, terms=n_terms)

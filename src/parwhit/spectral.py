@@ -10,13 +10,16 @@ import numpy as np
 
 from .errors import ConfigError, GenericityError
 
-__all__ = ["SpectralData", "ContourConfig", "GENERICITY_MARGIN", "MAX_NODES_PER_DIM"]
+__all__ = ["SpectralData", "ContourConfig", "GENERICITY_MARGIN", "MAX_NODES_PER_DIM", "MAX_REL_ERR"]
 
 #: minimal distance of lambda_i - lambda_j from hbar*Z, in units of hbar
 GENERICITY_MARGIN = 1e-6
 
 #: most trapezoid nodes per dimension a contour may have (a few MB per moment column)
 MAX_NODES_PER_DIM = 2 ** 20
+
+#: largest relative error estimate a route serves (eval_mb's default bound, the series' tail bound)
+MAX_REL_ERR = 1e-3
 
 
 @dataclass(frozen=True)

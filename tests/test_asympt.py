@@ -1,47 +1,33 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from parwhit import (SpectralData, auto_contour, coset_coefficient,
-                     enumerate_cosets, eval_mb, leading_asymptotic)
-from parwhit.errors import ConfigError, PoleError
+from parwhit import SpectralData, auto_contour, eval_mb, leading_asymptotic
+from parwhit.errors import PoleError
+from parwhit.gammafns import log_gamma1
 from parwhit.logcomplex import rescaled_sum
 from parwhit.residues import residue_term
-import itertools
 
 SQRT_PI = math.sqrt(math.pi)
 
 
-class TestCosets:
-    def test_small_cases(self):
-        assert enumerate_cosets(1, 2) == [(1,), (2,)]
-        assert enumerate_cosets(2, 3) == [(1, 2), (1, 3), (2, 3)]
-        assert len(enumerate_cosets(2, 4)) == 6
-
-    def test_counts(self):
-        for m, N in [(1, 5), (2, 5), (3, 5), (2, 6)]:
-            assert len(enumerate_cosets(m, N)) == math.comb(N, m)
-
-
 class TestCosetCoefficient:
+    # at m = 1, N = 2 the coset {1} carries e^{-x/2} Gamma(1/2) and the coset {2}
+    # carries Gamma(-1/2); at |x| = 100 the other coset is e^-50 below
     def test_single_factor(self):
-        v = coset_coefficient((1,), (0.5, 0.0), 1.0)
-        assert v.to_complex() == pytest.approx(SQRT_PI, rel=1e-13)
+        v = leading_asymptotic(SpectralData(1, 2, (0.5, 0.0), 1.0, -100.0))
+        assert v.to_complex() == pytest.approx(math.exp(50.0) * SQRT_PI, rel=1e-13)
 
     def test_negative_coefficient(self):
-        v = coset_coefficient((2,), (0.5, 0.0), 1.0)
+        v = leading_asymptotic(SpectralData(1, 2, (0.5, 0.0), 1.0, 100.0))
         assert v.to_complex() == pytest.approx(-2 * SQRT_PI, rel=1e-13)  # Gamma(-1/2)
 
     def test_pole_named(self):
-        coset_coefficient((1,), (1.0, 0.0), 1.0)  # Gamma(1), fine
-        with pytest.raises(PoleError, match="lambda_1 - lambda_2"):
-            coset_coefficient((1,), (0.0, 1.0), 1.0)  # Gamma(-1)
-
-    def test_indices_checked(self):
-        for S in [(0,), (3,)]:
-            with pytest.raises(ConfigError, match="indices in 1..2"):
-                coset_coefficient(S, (0.5, 0.0), 1.0)
+        with pytest.raises(PoleError, match=r"coset \(1,\): lambda_1 - lambda_2"):
+            leading_asymptotic(SpectralData(1, 2, (0.0, 1.0), 1.0, -1.0))  # Gamma(-1)
 
 
 class TestLeadingAsymptotic:
@@ -104,5 +90,9 @@ class TestLeadingAsymptotic:
         assert 0 < sum(points) <= 6 * 5
 
     def test_m1_reduces_to_n_term_sum(self):
-        s = SpectralData(1, 3, (0.7, 0.0, -0.9), 1.0, -2.0)
-        assert len(enumerate_cosets(s.m, s.N)) == 3
+        # m = 1: hbar * sum_i e^{-x lambda_i / hbar} prod_{j != i} gamma1(lambda_i - lambda_j)
+        lam, h, x = (0.7, 0.0, -0.9), 0.75, -2.0
+        expect = h * sum(cmath.exp(-x * li / h + sum(log_gamma1(complex(li - lj), h) for lj in lam if lj != li))
+                         for li in lam)
+        got = leading_asymptotic(SpectralData(1, 3, lam, h, x)).to_complex()
+        assert got == pytest.approx(expect, rel=1e-13)

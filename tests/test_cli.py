@@ -151,6 +151,18 @@ class TestSweep:
         assert rows[0]["error"] == "" and rows[2]["error"] == ""
         assert "DomainError" in rows[1]["error"]
 
+    def test_non_finite_floats_are_strict_json_null(self, capsys):
+        code, out = run(capsys, "sweep", "--m", "1", "--N", "2", "--lambda", "0.5,0",
+                        "--x-grid=nan,1e400")
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rows = json.loads(out, parse_constant=reject)["rows"]
+        assert [r["x"] for r in rows] == [None, None]
+        assert all(r["error"].startswith("ConfigError: x must be finite") for r in rows)
+
     def test_csv_output(self, capsys):
         code, out = run(capsys, "sweep", "--m", "1", "--N", "2", "--lambda", "0.5,0",
                         "--method", "mb", "--x-grid=-2,-3", "--format", "csv")
@@ -224,6 +236,11 @@ class TestVerify:
     def test_m1_rejected(self, capsys):
         code, _ = run(capsys, "verify", "--m", "1", "--N", "3")
         assert code == EXIT_CONFIG
+
+    def test_negative_seed_exit2(self, capsys):
+        code = main(["verify", "--m", "2", "--N", "3", "--seed", "-1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: seed must be >= 0")
 
     @pytest.mark.parametrize("hbar", ["inf", "0", "-1"])
     def test_bad_hbar_exit2(self, capsys, hbar):

@@ -31,15 +31,15 @@ def test_zero_handling():
     z = LogComplex.zero()
     assert z.is_zero
     assert z.to_complex() == 0j
-    assert (z * LogComplex.from_real(3.0)).is_zero
+    assert (z * LogComplex.from_complex(3.0)).is_zero
     with pytest.raises(ZeroDivisionError):
-        LogComplex.from_real(1.0) / z
+        LogComplex.from_complex(1.0) / z
 
 
 def test_from_real_signs():
-    assert LogComplex.from_real(-2.0).phase == pytest.approx(math.pi)
-    assert LogComplex.from_real(2.0).phase == 0.0
-    assert LogComplex.from_real(-2.0).to_complex() == pytest.approx(-2.0)
+    assert LogComplex.from_complex(-2.0).phase == pytest.approx(math.pi)
+    assert LogComplex.from_complex(2.0).phase == 0.0
+    assert LogComplex.from_complex(-2.0).to_complex() == pytest.approx(-2.0)
 
 
 def test_overflow_guard():
@@ -49,7 +49,7 @@ def test_overflow_guard():
 
 def test_rescaled_sum_matches_direct():
     vals = [1.5, -0.25, 3.0, -4.25, 1e-3]
-    lcs = [LogComplex.from_real(v) for v in vals]
+    lcs = [LogComplex.from_complex(v) for v in vals]
     got = rescaled_sum(lcs)
     assert got.to_complex() == pytest.approx(sum(vals), rel=1e-14)
 
