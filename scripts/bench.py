@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Collect the benchmark's end-to-end metrics into BENCH_<pr>.json.
 
-Runs `perfbench/run.py --trace 0` for every workload of BENCHMARK.json, for
-its `run_seconds`, over the fixed seeds 801-810, and writes, per workload,
+Runs `perfbench/run.py --trace 0` for every workload of BENCHMARK.json (or
+for each one named with --workload, which may be repeated), for its
+`run_seconds`, over the fixed seeds 801-810, and writes, per workload,
 the median, q1 and q3 of each end-to-end metric, the share of failed
 operations, the commit and `nproc` to BENCH_<pr>.json at the checkout root.
 With --baseline, the same runs are made in a second checkout (the parent
@@ -10,6 +11,7 @@ commit), in pairs whose order alternates from seed to seed, and both sides
 go into the file.
 
     python3 scripts/bench.py --pr 6 --baseline ../parent
+    python3 scripts/bench.py --pr 6 --baseline ../parent --workload gz-verify
 
 Run it from the root of a checkout; nothing else should load the machine
 while it runs.
@@ -66,6 +68,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the output file name")
     p.add_argument("--baseline", help="checkout of the parent commit to run in pairs")
+    p.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
+                   help="run only this workload; repeatable (default: every workload)")
     a = p.parse_args(argv)
 
     sides = {"change": ROOT}
@@ -76,7 +80,7 @@ def main(argv=None) -> int:
     result = {"pr": a.pr, "seeds": list(SEEDS), "seconds": seconds,
               "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
               "sides": {side: {"commit": _commit(path), "workloads": {}} for side, path in sides.items()}}
-    for workload in (w["name"] for w in bench["workloads"]):
+    for workload in a.workload or [w["name"] for w in bench["workloads"]]:
         runs = {side: [] for side in sides}
         for i, seed in enumerate(SEEDS):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))

@@ -66,17 +66,12 @@ def random_array(N: int, rng: np.random.Generator) -> TriangularArray:
     """
     for _ in range(200):
         rows = []
-        ok = True
         for n in range(1, N + 1):
-            r = rng.uniform(-2.0, 2.0, size=n) + 1j * rng.uniform(-2.0, 2.0, size=n)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if abs(r[a] - r[b]) < 0.05:
-                        ok = False
-            rows.append(tuple(complex(v) for v in r))
-            if not ok:
+            r = [complex(v) for v in rng.uniform(-2.0, 2.0, size=n) + 1j * rng.uniform(-2.0, 2.0, size=n)]
+            if any(abs(r[a] - r[b]) < 0.05 for a in range(n) for b in range(a + 1, n)):
                 break
-        if ok:
+            rows.append(tuple(r))
+        else:
             return TriangularArray(tuple(rows))
     raise ConfigError("failed to sample a well-separated array")
 

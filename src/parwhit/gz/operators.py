@@ -8,6 +8,17 @@ summing equal keys as they are formed; sums and differences merge keys the
 same way.  That is all the operator algebra needed to check identities
 numerically; no symbolic normal form is kept.
 
+Memo rule.  Each operator records the contiguous range of rows its
+coefficients read (`rows`): a generator reads two rows, E_{n,N} reads rows
+n..N, a product or sum reads the hull of its operands' ranges, and an
+operator built from a bare symbol reads every row.  A symbol depends only on
+those rows, so `apply` owns one memo for the length of the call and every
+operator it reaches looks its symbol up there under (operator, its rows of
+the array), computing it only on a miss.  Inside a nested commutator the
+same generator is reached at many shifted arrays that agree on its two rows;
+each distinct input is computed once.  Symbols are therefore read-only
+values: nothing mutates a dict a symbol returned.
+
 The generator realization (E_kk multiplication; E_{n,n+1} and E_{n+1,n}
 single-row shift operators with interpolation-style rational coefficients)
 satisfies the gl_N bracket relations, verified termlessly on random test
@@ -23,13 +34,15 @@ and is never evaluated through gamma functions at runtime (measure_ratio;
 N is the array's size and hbar the operator's).  Each operator receives its
 adjoint builder when it is built, so its adjoint follows the same structure:
 (A.B)^dag = B^dag.A^dag, (A + B)^dag = A^dag + B^dag, and an operator built
-from terms flips each term on its own.  A commutator of generators thus has
+from terms flips each term on its own, reading its own rows and the rows its
+shifts move (the measure-ratio rows).  A commutator of generators thus has
 the adjoint [B^dag, A^dag], and each coefficient is evaluated once per point.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Iterable, Mapping
 
 from ..errors import ConfigError
@@ -42,8 +55,9 @@ __all__ = ["DifferenceOperator", "measure_ratio", "gen", "commutator",
 
 Coeff = Callable[[TriangularArray], complex]
 ShiftKey = tuple[tuple[tuple[int, int], int], ...]
-Symbol = Callable[[TriangularArray], dict[ShiftKey, complex]]
+Symbol = Callable[[TriangularArray, dict], Mapping[ShiftKey, complex]]
 TestFn = Callable[[TriangularArray], complex]
+Rows = tuple[int, "int | None"]      # first and last row read, 1-based; None reads to the end
 
 
 def _shift_key(shift: Mapping[tuple[int, int], int]) -> ShiftKey:
@@ -57,29 +71,46 @@ def _add_keys(ka: ShiftKey, kb: ShiftKey) -> ShiftKey:
     return _shift_key(merged)
 
 
+def _hull(a: Rows, b: Rows) -> Rows:
+    return min(a[0], b[0]), None if None in (a[1], b[1]) else max(a[1], b[1])
+
+
 class DifferenceOperator:
     """sum_sigma c_sigma(gamma) f(gamma + hbar*sigma) over distinct shifts, at a fixed hbar.
 
-    `shifts` lists the distinct shift keys; `symbol(arr)` returns a fresh
-    dict {key: c_key(arr)} over exactly those keys.  `dagger`, when given,
-    builds the adjoint from the parts the operator was made of.
+    `shifts` lists the distinct shift keys; `symbol(arr, memo)` returns a
+    fresh dict {key: c_key(arr)} over exactly those keys, reading the
+    operators it was built from through `coeffs(arr, memo)`.  `rows` is the
+    range of rows the coefficients read (every row by default).  `dagger`,
+    when given, builds the adjoint from the parts the operator was made of.
     """
 
     def __init__(self, hbar: float, shifts: Iterable[ShiftKey], symbol: Symbol,
-                 dagger: Callable[[], "DifferenceOperator"] | None = None):
+                 dagger: Callable[[], "DifferenceOperator"] | None = None,
+                 rows: Rows = (1, None)):
         self.hbar = _checked_hbar(hbar)
         self.shifts = tuple(shifts)
         self.symbol = symbol
+        self.rows = rows
+        self._read = slice(rows[0] - 1, rows[1])
         self._dagger = dagger
 
     def __len__(self) -> int:
         return len(self.shifts)
 
+    def coeffs(self, arr: TriangularArray, memo: dict) -> Mapping[ShiftKey, complex]:
+        """The symbol at arr, computed once per memo for each distinct content of its rows."""
+        key = (self, arr.rows[self._read])
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self.symbol(arr, memo)
+        return out
+
     def apply(self, f: TestFn, arr: TriangularArray) -> complex:
         """Evaluate (A f)(arr), skipping shifts whose coefficient is exactly zero."""
         h = self.hbar
         out = 0j
-        for key, c in self.symbol(arr).items():
+        for key, c in self.symbol(arr, {}).items():
             if c != 0:
                 out += c * f(arr.shifted(dict(key), h))
         return out
@@ -89,50 +120,55 @@ class DifferenceOperator:
         if abs(self.hbar - other.hbar) > 0:
             raise ConfigError("cannot compose operators with different hbar")
         h = self.hbar
-        a, b = self.symbol, other.symbol
         sums = {ka: {kb: _add_keys(ka, kb) for kb in other.shifts} for ka in self.shifts}
+        moves = {ka: dict(ka) for ka in self.shifts}
 
-        def symbol(arr):
+        def symbol(arr, memo):
             out: dict[ShiftKey, complex] = {}
-            for ka, ca in a(arr).items():
+            for ka, ca in self.coeffs(arr, memo).items():
                 row = sums[ka]
-                for kb, cb in b(arr.shifted(dict(ka), h)).items():
+                for kb, cb in other.coeffs(arr.shifted(moves[ka], h), memo).items():
                     key = row[kb]
                     out[key] = out.get(key, 0j) + ca * cb
             return out
 
         shifts = dict.fromkeys(key for row in sums.values() for key in row.values())
-        return DifferenceOperator(h, shifts, symbol, lambda: adjoint(other).compose(adjoint(self)))
+        return DifferenceOperator(h, shifts, symbol, lambda: adjoint(other).compose(adjoint(self)),
+                                  _hull(self.rows, other.rows))
 
-    def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
+    def _merge(self, other: "DifferenceOperator", combine, dagger) -> "DifferenceOperator":
+        """The operator combine(self, other) for combine in (operator.add, operator.sub).
+
+        Its symbol is a fresh dict: self's keys first, then other's new keys.
+        """
         if abs(self.hbar - other.hbar) > 0:
             raise ConfigError("cannot add operators with different hbar")
-        a, b = self.symbol, other.symbol
 
-        def symbol(arr):
-            out = a(arr)
-            for key, c in b(arr).items():
-                out[key] = out.get(key, 0j) + c
+        def symbol(arr, memo):
+            out = dict(self.coeffs(arr, memo))
+            for key, c in other.coeffs(arr, memo).items():
+                out[key] = combine(out.get(key, 0j), c)
             return out
 
         return DifferenceOperator(self.hbar, dict.fromkeys(self.shifts + other.shifts), symbol,
-                                  lambda: adjoint(self) + adjoint(other))
+                                  dagger, _hull(self.rows, other.rows))
+
+    def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
+        return self._merge(other, operator.add, lambda: adjoint(self) + adjoint(other))
 
     def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "DifferenceOperator":
-        a = self.symbol
-        return DifferenceOperator(self.hbar, self.shifts,
-                                  lambda arr: {key: -c for key, c in a(arr).items()},
-                                  lambda: -adjoint(self))
+        return self._merge(other, operator.sub, lambda: adjoint(self) - adjoint(other))
 
 
-def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]]) -> DifferenceOperator:
+def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]], rows: Rows,
+                symbol: Callable[[TriangularArray], dict[ShiftKey, complex]] | None = None
+                ) -> DifferenceOperator:
     """The operator sum_t c_t(gamma) f(gamma + hbar*key_t); the keys must be distinct.
 
-    Its adjoint has one term per term: shift -key, coefficient
-    c_t(gamma - hbar*key) * mu(gamma - hbar*key)/mu(gamma).
+    The coefficients read `rows`.  `symbol`, when given, evaluates every term
+    at once and must equal {key_t: c_t(arr)} exactly.  The adjoint has one
+    term per term: shift -key, coefficient c_t(gamma - hbar*key) *
+    mu(gamma - hbar*key)/mu(gamma), which also reads the rows key moves.
     """
     def dagger():
         flipped = []
@@ -140,10 +176,15 @@ def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]]) -> DifferenceOper
             back = {pos: -k for pos, k in key}
             flipped.append((_shift_key(back), lambda arr, c=c, back=back:
                             c(arr.shifted(back, h)) * measure_ratio(arr, back, h)))
-        return _from_terms(h, flipped)
+        moved = [pos[0] for key, _ in terms for pos, _k in key]
+        return _from_terms(h, flipped, _hull(rows, (min(moved), max(moved))) if moved else rows)
 
-    return DifferenceOperator(h, [key for key, _ in terms],
-                              lambda arr: {key: c(arr) for key, c in terms}, dagger)
+    if symbol is None:
+        def symbol(arr):
+            return {key: c(arr) for key, c in terms}
+
+    return DifferenceOperator(h, [key for key, _ in terms], lambda arr, memo: symbol(arr),
+                              dagger, rows)
 
 
 def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
@@ -164,7 +205,7 @@ def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
                 s -= sum(arr.row(n - 1))
             return s / h
 
-        return _from_terms(h, [((), c)])
+        return _from_terms(h, [((), c)], (max(n - 1, 1), n))
 
     if kind not in ("raise", "lower"):
         raise ConfigError(f"unknown generator kind {kind!r}")
@@ -174,12 +215,14 @@ def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
     # raise: -prod_{j <= n+1} (g_ni - g_{n+1,j} - h/2); lower: prod_{j <= n-1} (g_ni - g_{n-1,j} + h/2);
     # both over h prod_{t != i} (g_ni - g_nt).  lower 1 has no row below (an empty product).
     row, off, sign, step = (n + 1, -h / 2, -1.0, -1) if kind == "raise" else (n - 1, h / 2, 1.0, 1)
+    rows = (n, n + 1) if kind == "raise" else (max(n - 1, 1), n)
 
     def c(arr, i):
         g = arr.gamma(n, i)
         return sign * factor(g, arr.row(row) if row else (), off) / (h * factor(g, arr.row(n), skip=i))
 
-    return _from_terms(h, [((((n, i), step),), lambda arr, i=i: c(arr, i)) for i in range(1, n + 1)])
+    return _from_terms(h, [((((n, i), step),), lambda arr, i=i: c(arr, i)) for i in range(1, n + 1)],
+                       rows)
 
 
 def commutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
@@ -207,25 +250,45 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
     Level N-r contributes the interpolation factor with the numerator product
     skipping the index chosen at the level above, and the term shifts one
     entry of every row n..N-1 down by hbar.  Coincides with the nested
-    commutator [[...[E_{n,n+1}, E_{n+1,n+2}], ...], E_{N-1,N}].
+    commutator [[...[E_{n,n+1}, E_{n+1,n+2}], ...], E_{N-1,N}].  The symbol
+    computes each level ratio once per array and shares it among the
+    (N-n)! chains; a term on its own (in the adjoint) computes its N-n ratios.
     """
     if not 1 <= n <= N - 1:
         raise ConfigError(f"need 1 <= n <= N-1, got n={n}, N={N}")
     h = float(hbar)
-    terms = []
-    for chain in itertools.product(*[range(1, N - r + 1) for r in range(1, N - n + 1)]):
+    levels = range(N - 1, n - 1, -1)
+    # the steps (level, index, index chosen at the level above) of each chain
+    chains = [tuple(zip(levels, chain, (None,) + chain[:-1])) for chain in
+              itertools.product(*[range(1, N - r + 1) for r in range(1, N - n + 1)])]
+    steps = dict.fromkeys(step for chain in chains for step in chain)
 
-        def c(arr, chain=chain):
-            val = -1.0 / h
-            prev = None
-            for lvl, ir in zip(range(N - 1, n - 1, -1), chain):
-                g = arr.gamma(lvl, ir)
-                val *= factor(g, arr.row(lvl + 1), -h / 2, prev) / factor(g, arr.row(lvl), skip=ir)
-                prev = ir
-            return val
+    def ratios(arr, steps):
+        """{step: level ratio} over the given steps, one denominator per (level, index)."""
+        dens, out = {}, {}
+        for lvl, ir, prev in steps:
+            g = arr.gamma(lvl, ir)
+            den = dens.get((lvl, ir))
+            if den is None:
+                den = dens[lvl, ir] = factor(g, arr.row(lvl), skip=ir)
+            out[lvl, ir, prev] = factor(g, arr.row(lvl + 1), -h / 2, prev) / den
+        return out
 
-        terms.append((_shift_key({(N - r, ir): -1 for r, ir in enumerate(chain, start=1)}), c))
-    return _from_terms(h, terms)
+    def value(chain, table):
+        val = -1.0 / h
+        for step in chain:
+            val *= table[step]
+        return val
+
+    keys = [_shift_key({(lvl, ir): -1 for lvl, ir, _ in chain}) for chain in chains]
+
+    def symbol(arr):
+        table = ratios(arr, steps)
+        return {key: value(chain, table) for key, chain in zip(keys, chains)}
+
+    terms = [(key, lambda arr, chain=chain: value(chain, ratios(arr, chain)))
+             for key, chain in zip(keys, chains)]
+    return _from_terms(h, terms, (n, N), symbol)
 
 
 def coxeter_cycle(m: int, N: int) -> tuple[int, ...]:
@@ -286,6 +349,5 @@ def adjoint(a: DifferenceOperator) -> DifferenceOperator:
     """
     if a._dagger is not None:
         return a._dagger()
-    symbol = a.symbol
-    terms = [(key, lambda arr, key=key: symbol(arr)[key]) for key in a.shifts]
-    return _from_terms(a.hbar, terms)._dagger()
+    terms = [(key, lambda arr, key=key: a.symbol(arr, {})[key]) for key in a.shifts]
+    return _from_terms(a.hbar, terms, a.rows)._dagger()

@@ -25,7 +25,7 @@ def check_serre(N: int, hbar: float, n_functions: int, n_arrays: int,
                 seed: int) -> list[BracketCheck]:
     """[E_{n,n+1}, E_{k,k+1}] = 0 for |n - k| >= 2 (spot checks)."""
     rng = np.random.default_rng(seed)
-    zero = DifferenceOperator(hbar, (), lambda arr: {})
+    zero = DifferenceOperator(hbar, (), lambda arr, memo: {})
     out = []
     for n in range(1, N):
         for k in range(n + 2, N):
@@ -64,7 +64,7 @@ class TestGenerators:
     @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
     def test_bad_hbar_rejected(self, hbar):
         with pytest.raises(ConfigError, match="finite real > 0"):
-            DifferenceOperator(hbar, (), lambda arr: {})
+            DifferenceOperator(hbar, (), lambda arr, memo: {})
         with pytest.raises(ConfigError, match="finite real > 0"):
             gen("raise", 1, 3, hbar)
         with pytest.raises(ConfigError, match="finite real > 0"):
