@@ -261,7 +261,7 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
     # the steps (level, index, index chosen at the level above) of each chain
     chains = [tuple(zip(levels, chain, (None,) + chain[:-1])) for chain in
               itertools.product(*[range(1, N - r + 1) for r in range(1, N - n + 1)])]
-    steps = dict.fromkeys(step for chain in chains for step in chain)
+    every_step = dict.fromkeys(step for chain in chains for step in chain)
 
     def ratios(arr, steps):
         """{step: level ratio} over the given steps, one denominator per (level, index)."""
@@ -283,7 +283,7 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
     keys = [_shift_key({(lvl, ir): -1 for lvl, ir, _ in chain}) for chain in chains]
 
     def symbol(arr):
-        table = ratios(arr, steps)
+        table = ratios(arr, every_step)
         return {key: value(chain, table) for key, chain in zip(keys, chains)}
 
     terms = [(key, lambda arr, chain=chain: value(chain, ratios(arr, chain)))

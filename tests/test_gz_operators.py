@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from parwhit.gz import (DifferenceOperator, SupportConstraints, TriangularArray, adjoint,
-                        build_EnN, commutator, coxeter_cycle, gen, measure_ratio,
+                        build_Eij, build_EnN, commutator, coxeter_cycle, gen, measure_ratio,
                         random_array, twist)
 from parwhit.gz.identity import (BracketCheck, check_brackets, check_build_EnN,
                                  operator_deviation, random_test_function)
@@ -147,7 +147,6 @@ class TestTwist:
         m, N = 3, 4
         w = coxeter_cycle(m, N)
         pairs = [((2, 1), (1, 3)), ((m + 1, m), (4, 2)), ((1, N), (3, 4)), ((m, N), (2, 4))]
-        from parwhit.gz.operators import build_Eij
         for label, direct in pairs:
             a = twist(label, w, N, H)
             b = build_Eij(direct[0], direct[1], N, H)
@@ -241,3 +240,83 @@ class TestAdjoint:
         singular = TriangularArray(tuple(tuple(r) for r in rows))
         assert gz_measure(singular, H) == 0j
         assert gz_measure(base, H) != 0j
+
+
+class TestChecksRefuseEmptySamples:
+    @pytest.mark.parametrize("check,args", [(check_brackets, (3, H, 0, 4, 1)),
+                                            (check_build_EnN, (4, H, 3, 0, 1)),
+                                            (check_brackets, (3, H, -1, 4, 1))])
+    def test_zero_functions_or_arrays_raise(self, check, args):
+        # with no test function or no array, every deviation would read 0.0 and pass
+        with pytest.raises(ConfigError, match="n_functions >= 1 and n_arrays >= 1"):
+            check(*args)
+
+
+def _operators_with_rows(N):
+    """(name, operator) for every generator of gl_N, E_{n,N}, one nested commutator,
+    one twist, and the adjoint of each."""
+    ops = [(f"cartan{n}", gen("cartan", n, N, H)) for n in range(1, N + 1)]
+    ops += [(f"{kind}{n}", gen(kind, n, N, H)) for kind in ("raise", "lower") for n in range(1, N)]
+    ops += [(f"E{n}{N}", build_EnN(n, N, H)) for n in range(1, N)]
+    ops += [("E13-nested", build_Eij(1, 3, N, H)),
+            ("twist", twist((3, 2), coxeter_cycle(3, N), N, H))]
+    return ops + [(f"adjoint({name})", adjoint(op)) for name, op in ops]
+
+
+class TestMemo:
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_symbol_depends_only_on_declared_rows(self, N):
+        # a range that is too narrow would let the memo serve a stale symbol
+        rng = np.random.default_rng(30 + N)
+        arr = random_array(N, rng)
+        for name, op in _operators_with_rows(N):
+            first, last = op.rows
+            outside = [r for r in range(1, N + 1) if r < first or (last is not None and r > last)]
+            base = op.symbol(arr, {})
+            for r in outside:
+                rows = list(arr.rows)
+                rows[r - 1] = random_array(N, rng).rows[r - 1]
+                moved = op.symbol(TriangularArray(tuple(rows)), {})
+                assert moved == base, (name, op.rows, r)
+
+    def test_declared_rows(self):
+        assert gen("raise", 2, 5, H).rows == (2, 3)
+        assert gen("lower", 2, 5, H).rows == (1, 2)
+        assert gen("lower", 1, 5, H).rows == (1, 1)
+        assert gen("cartan", 3, 5, H).rows == (2, 3)
+        assert build_EnN(2, 5, H).rows == (2, 5)
+        assert build_Eij(1, 3, 5, H).rows == (1, 3)
+        assert DifferenceOperator(H, (), lambda arr, memo: {}).rows == (1, None)
+
+    def test_memo_does_not_leak_between_calls(self):
+        rng = np.random.default_rng(31)
+        N = 5
+        f = random_test_function(N, rng)
+        arr1, arr2 = random_array(N, rng), random_array(N, rng)
+        op = build_Eij(1, 5, N, H)
+        first, second, again = op.apply(f, arr1), op.apply(f, arr2), op.apply(f, arr1)
+        assert first.real.hex() == again.real.hex() and first.imag.hex() == again.imag.hex()
+        fresh = build_Eij(1, 5, N, H).apply(f, arr2)
+        assert second.real.hex() == fresh.real.hex() and second.imag.hex() == fresh.imag.hex()
+
+    def test_each_generator_symbol_is_evaluated_once_per_distinct_input(self, monkeypatch):
+        # one check_build_EnN(6, ...) call of a gz-verify round: without the memo the
+        # generator symbols are evaluated 10,017 times on 495 distinct inputs
+        import parwhit.gz.identity as identity
+        calls, inputs = [], set()
+
+        def counted_gen(kind, n, N, hbar):
+            op = gen(kind, n, N, hbar)
+            symbol = op.symbol
+
+            def counting(arr, memo):
+                calls.append(1)
+                inputs.add((id(op), arr.rows[op.rows[0] - 1:op.rows[1]]))
+                return symbol(arr, memo)
+
+            op.symbol = counting
+            return op
+
+        monkeypatch.setattr(identity, "gen", counted_gen)
+        check_build_EnN(6, H, 3, 3, seed=202101160)
+        assert len(calls) == len(inputs) == 495
