@@ -8,7 +8,9 @@ the median, q1 and q3 of each end-to-end metric, the share of failed
 operations, the commit and `nproc` to BENCH_<pr>.json at the checkout root.
 With --baseline, the same runs are made in a second checkout (the parent
 commit), in pairs whose order alternates from seed to seed, and both sides
-go into the file.
+go into the file.  A run narrowed by --workload writes its own file,
+BENCH_<pr>.<workload>.json (names joined by "+"), and leaves BENCH_<pr>.json
+as it is.
 
     python3 scripts/bench.py --pr 6 --baseline ../parent
     python3 scripts/bench.py --pr 6 --baseline ../parent --workload gz-verify
@@ -80,7 +82,8 @@ def main(argv=None) -> int:
     result = {"pr": a.pr, "seeds": list(SEEDS), "seconds": seconds,
               "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
               "sides": {side: {"commit": _commit(path), "workloads": {}} for side, path in sides.items()}}
-    for workload in a.workload or [w["name"] for w in bench["workloads"]]:
+    workloads = a.workload or [w["name"] for w in bench["workloads"]]
+    for workload in workloads:
         runs = {side: [] for side in sides}
         for i, seed in enumerate(SEEDS):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
@@ -92,7 +95,8 @@ def main(argv=None) -> int:
         for side in sides:
             result["sides"][side]["workloads"][workload] = summarize(runs[side], names)
 
-    path = os.path.join(ROOT, f"BENCH_{a.pr}.json")
+    suffix = "." + "+".join(workloads) if a.workload else ""
+    path = os.path.join(ROOT, f"BENCH_{a.pr}{suffix}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

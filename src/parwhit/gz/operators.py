@@ -160,15 +160,12 @@ class DifferenceOperator:
         return self._merge(other, operator.sub, lambda: adjoint(self) - adjoint(other))
 
 
-def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]], rows: Rows,
-                symbol: Callable[[TriangularArray], dict[ShiftKey, complex]] | None = None
-                ) -> DifferenceOperator:
+def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]], rows: Rows) -> DifferenceOperator:
     """The operator sum_t c_t(gamma) f(gamma + hbar*key_t); the keys must be distinct.
 
-    The coefficients read `rows`.  `symbol`, when given, evaluates every term
-    at once and must equal {key_t: c_t(arr)} exactly.  The adjoint has one
-    term per term: shift -key, coefficient c_t(gamma - hbar*key) *
-    mu(gamma - hbar*key)/mu(gamma), which also reads the rows key moves.
+    The coefficients read `rows`.  The adjoint has one term per term: shift
+    -key, coefficient c_t(gamma - hbar*key) * mu(gamma - hbar*key)/mu(gamma),
+    which also reads the rows key moves.
     """
     def dagger():
         flipped = []
@@ -179,12 +176,8 @@ def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]], rows: Rows,
         moved = [pos[0] for key, _ in terms for pos, _k in key]
         return _from_terms(h, flipped, _hull(rows, (min(moved), max(moved))) if moved else rows)
 
-    if symbol is None:
-        def symbol(arr):
-            return {key: c(arr) for key, c in terms}
-
-    return DifferenceOperator(h, [key for key, _ in terms], lambda arr, memo: symbol(arr),
-                              dagger, rows)
+    return DifferenceOperator(h, [key for key, _ in terms],
+                              lambda arr, memo: {key: c(arr) for key, c in terms}, dagger, rows)
 
 
 def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
@@ -252,7 +245,7 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
     entry of every row n..N-1 down by hbar.  Coincides with the nested
     commutator [[...[E_{n,n+1}, E_{n+1,n+2}], ...], E_{N-1,N}].  The symbol
     computes each level ratio once per array and shares it among the
-    (N-n)! chains; a term on its own (in the adjoint) computes its N-n ratios.
+    (N-n)! chains.
     """
     if not 1 <= n <= N - 1:
         raise ConfigError(f"need 1 <= n <= N-1, got n={n}, N={N}")
@@ -263,32 +256,25 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
               itertools.product(*[range(1, N - r + 1) for r in range(1, N - n + 1)])]
     every_step = dict.fromkeys(step for chain in chains for step in chain)
 
-    def ratios(arr, steps):
-        """{step: level ratio} over the given steps, one denominator per (level, index)."""
-        dens, out = {}, {}
-        for lvl, ir, prev in steps:
+    def symbol(arr, memo):
+        # one denominator per (level, index), one ratio per step, shared by every chain
+        dens, table = {}, {}
+        for lvl, ir, prev in every_step:
             g = arr.gamma(lvl, ir)
             den = dens.get((lvl, ir))
             if den is None:
                 den = dens[lvl, ir] = factor(g, arr.row(lvl), skip=ir)
-            out[lvl, ir, prev] = factor(g, arr.row(lvl + 1), -h / 2, prev) / den
+            table[lvl, ir, prev] = factor(g, arr.row(lvl + 1), -h / 2, prev) / den
+        out = {}
+        for key, chain in zip(keys, chains):
+            val = -1.0 / h
+            for step in chain:
+                val *= table[step]
+            out[key] = val
         return out
 
-    def value(chain, table):
-        val = -1.0 / h
-        for step in chain:
-            val *= table[step]
-        return val
-
     keys = [_shift_key({(lvl, ir): -1 for lvl, ir, _ in chain}) for chain in chains]
-
-    def symbol(arr):
-        table = ratios(arr, every_step)
-        return {key: value(chain, table) for key, chain in zip(keys, chains)}
-
-    terms = [(key, lambda arr, chain=chain: value(chain, ratios(arr, chain)))
-             for key, chain in zip(keys, chains)]
-    return _from_terms(h, terms, (n, N), symbol)
+    return DifferenceOperator(h, keys, symbol, rows=(n, N))
 
 
 def coxeter_cycle(m: int, N: int) -> tuple[int, ...]:
