@@ -7,10 +7,11 @@ Subcommands:
     sweep   a table over an x grid with the value/asymptotic ratio column
     xval    cross-validation of all applicable evaluators at one instance
 
-The flags are the only input: each sets the RunConfig field of the same
-name, and an unset flag keeps the field's default.  JSON is the canonical
-output format, strict: a non-finite float is written as null.  CSV is
-offered for sweeps.  Exit codes: 0 success,
+The flags are the only input.  COMMANDS names each subcommand's handler
+and the flags it reads; a flag the command does not read is refused
+(exit 2), and the parsed namespace is the handler's whole configuration.
+JSON is the canonical output format, strict: a non-finite float is written
+as null.  CSV is offered for sweeps.  Exit codes: 0 success,
 2 configuration error, 3 numerical-domain error, 4 verification failure.
 """
 
@@ -22,7 +23,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .asympt import leading_asymptotic
@@ -46,31 +46,37 @@ SCHEMA_VERSION = 1
 #: boundary decay the automatic contour truncation must reach
 CONTOUR_TOL = 1e-9
 
-_METHODS = ("mb", "residue", "both")
-_FORMATS = ("json", "csv")
-_COMMANDS = ("eval", "asympt", "verify", "sweep", "xval")
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse float list {text!r}") from exc
 
 
-@dataclass
-class RunConfig:
-    """Everything a run needs: the parsed flags, under the flags' destination names."""
+#: every flag's argparse keywords, default included; a command reads the ones COMMANDS lists
+_FLAGS = {
+    "m": dict(type=int, default=1),
+    "N": dict(type=int, default=2),
+    "lambda": dict(dest="lam", type=_parse_float_list, default=None,
+                   help="comma-separated list of N reals (default zeros(N))"),
+    "hbar": dict(type=float, default=1.0),
+    "x": dict(type=float, default=0.0),
+    "method": dict(choices=("mb", "residue", "both"), default="mb"),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "x-grid": dict(type=_parse_float_list, default=(),
+                   help="comma-separated x values; use --x-grid=-2,-4 for negative leads"),
+    "out": dict(default=None),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
 
-    command: str = "eval"
-    m: int = 1
-    N: int = 2
-    lam: tuple[float, ...] | None = None      # defaults to zeros(N)
-    hbar: float = 1.0
-    x: float = 0.0
-    method: str = "mb"
-    seed: int = DEFAULT_SEED                  # verification
-    x_grid: tuple[float, ...] = ()            # sweep
-    out: str | None = None
-    format: str = "json"
 
-    def spectral(self, x: float | None = None) -> SpectralData:
-        lam = self.lam if self.lam is not None else tuple(0.0 for _ in range(self.N))
-        return SpectralData(m=self.m, N=self.N, lam=lam, hbar=self.hbar,
-                            x=self.x if x is None else x)
+def _spectral(args: argparse.Namespace, x: float) -> SpectralData:
+    lam = args.lam if args.lam is not None else tuple(0.0 for _ in range(args.N))
+    return SpectralData(m=args.m, N=args.N, lam=lam, hbar=args.hbar, x=x)
 
 
 def _value_payload(v: LogComplex) -> dict:
@@ -84,12 +90,7 @@ def _value_payload(v: LogComplex) -> dict:
     return out
 
 
-def _inputs_echo(cfg: RunConfig, s: SpectralData) -> dict:
-    return {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x,
-            "method": cfg.method, "seed": cfg.seed}
-
-
-def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex, dict]:
+def _evaluate(s: SpectralData, method: str) -> tuple[LogComplex, dict]:
     """One value by method ("mb", "residue" or "asymptotic") and its timed record."""
     t0 = time.perf_counter()
     diagnostics = {}
@@ -102,19 +103,20 @@ def _evaluate(cfg: RunConfig, s: SpectralData, method: str) -> tuple[LogComplex,
         diagnostics = {"orders_summed": res.orders_summed, "terms": res.terms}
     else:
         value, err = leading_asymptotic(s), 0.0
-    return value, {"inputs": _inputs_echo(cfg, s), "method": method,
+    inputs = {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x}
+    return value, {"inputs": inputs, "method": method,
                    "value": _value_payload(value), "error_estimate": err,
                    "wall_time": time.perf_counter() - t0, "library_version": __version__,
                    "diagnostics": diagnostics}
 
 
-def _value_methods(cfg: RunConfig, x: float) -> list[str]:
+def _value_methods(args: argparse.Namespace, x: float) -> list[str]:
     """The evaluators a command runs at x, in record order (sweep takes eval's list)."""
-    if cfg.command == "asympt":
+    if args.command == "asympt":
         return ["asymptotic"]
-    if cfg.command == "xval":
+    if args.command == "xval":
         return ["mb", "residue", "asymptotic"] if x < 0 else ["mb", "asymptotic"]
-    return ["mb", "residue"] if cfg.method == "both" else [cfg.method]
+    return ["mb", "residue"] if args.method == "both" else [args.method]
 
 
 def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
@@ -126,32 +128,32 @@ def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
     return math.exp(diff.log_mag - a.log_mag) if not diff.is_zero else 0.0
 
 
-def cmd_value(cfg: RunConfig) -> dict:
+def cmd_value(args: argparse.Namespace) -> dict:
     """eval, asympt and xval: one record per method and the pairwise discrepancies."""
-    s = cfg.spectral()
+    s = _spectral(args, args.x)
     values, records = {}, []
-    for method in _value_methods(cfg, s.x):
-        values[method], rec = _evaluate(cfg, s, method)
+    for method in _value_methods(args, s.x):
+        values[method], rec = _evaluate(s, method)
         records.append(rec)
     discrepancies = {f"{a}/{b}": _rel_discrepancy(values[a], values[b])
                      for a, b in itertools.combinations(values, 2)}
-    out = {"schema": SCHEMA_VERSION, "command": cfg.command, "records": records}
-    if cfg.command == "xval":
+    out = {"schema": SCHEMA_VERSION, "command": args.command, "records": records}
+    if args.command == "xval":
         out["discrepancies"] = discrepancies
     elif discrepancies:
         out["discrepancy"] = discrepancies["mb/residue"]
     return out
 
 
-def cmd_sweep(cfg: RunConfig) -> dict:
+def cmd_sweep(args: argparse.Namespace) -> dict:
     rows = []
-    for x in cfg.x_grid:
+    for x in args.x_grid:
         asym = None     # shared by the method rows of this x
-        for method in _value_methods(cfg, x):
+        for method in _value_methods(args, x):
             row = {"x": x, "method": method}
             try:
-                s = cfg.spectral(x=x)
-                value, rec = _evaluate(cfg, s, method)
+                s = _spectral(args, x)
+                value, rec = _evaluate(s, method)
                 if asym is None:
                     asym = leading_asymptotic(s)
                 ratio = value / asym
@@ -182,28 +184,28 @@ def _sweep_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _operator_suite(cfg: RunConfig) -> dict:
-    checks = check_brackets(cfg.N, cfg.hbar, 5, 5, cfg.seed)
-    checks += check_build_EnN(cfg.N, cfg.hbar, 5, 5, cfg.seed + 1)
+def _operator_suite(args: argparse.Namespace) -> dict:
+    checks = check_brackets(args.N, args.hbar, 5, 5, args.seed)
+    checks += check_build_EnN(args.N, args.hbar, 5, 5, args.seed + 1)
     worst = max(c.deviation for c in checks)
     return {"suite": "gz-operators", "passed": worst <= VERIFY_TOL, "max_deviation": worst,
             "tol": VERIFY_TOL, "checks": [{"name": c.name, "deviation": c.deviation} for c in checks]}
 
 
-def cmd_verify(cfg: RunConfig) -> dict:
-    if not 2 <= cfg.m < cfg.N:
-        raise ConfigError(f"verify needs 2 <= m < N, got m={cfg.m}, N={cfg.N}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    worst, tol = check_combin_identities(cfg.seed), 1e-11
+def cmd_verify(args: argparse.Namespace) -> dict:
+    if not 2 <= args.m < args.N:
+        raise ConfigError(f"verify needs 2 <= m < N, got m={args.m}, N={args.N}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    worst, tol = check_combin_identities(args.seed), 1e-11
     suites = [{"suite": "combin-identities", "passed": worst <= tol, "max_deviation": worst, "tol": tol},
-              _operator_suite(cfg)]
-    left = verify_left_whittaker(cfg.m, cfg.N, samples=8, seed=cfg.seed, hbar=cfg.hbar)
-    right = verify_right_support_relations(cfg.m, cfg.N, samples=20, seed=cfg.seed, hbar=cfg.hbar)
+              _operator_suite(args)]
+    left = verify_left_whittaker(args.m, args.N, samples=8, seed=args.seed, hbar=args.hbar)
+    right = verify_right_support_relations(args.m, args.N, samples=20, seed=args.seed, hbar=args.hbar)
     suites += [left.to_dict(), right.to_dict()]
     passed = all(s["passed"] for s in suites)
-    return {"schema": SCHEMA_VERSION, "command": "verify", "seed": cfg.seed,
-            "m": cfg.m, "N": cfg.N, "hbar": cfg.hbar,
+    return {"schema": SCHEMA_VERSION, "command": "verify", "seed": args.seed,
+            "m": args.m, "N": args.N, "hbar": args.hbar,
             "suites": suites, "passed": passed}
 
 
@@ -218,31 +220,29 @@ def _finite_or_null(obj):
     return obj
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.format == "csv":
-        if payload.get("command") != "sweep":
-            raise ConfigError("csv output is only available for sweep")
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    if vars(args).get("format") == "csv":      # only sweep reads --format
         text = _sweep_csv(payload)
     else:
         text = json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}") from exc
+#: each subcommand, in help order: its handler and the flags it reads
+COMMANDS = {
+    "eval": (cmd_value, "m N lambda hbar x method out"),
+    "asympt": (cmd_value, "m N lambda hbar x out"),
+    "verify": (cmd_verify, "m N hbar seed out"),
+    "sweep": (cmd_sweep, "m N lambda hbar method x-grid out format"),
+    "xval": (cmd_value, "m N lambda hbar x out"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,40 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"parwhit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=str, default=None,
-                       help="comma-separated list of N reals")
-        p.add_argument("--hbar", type=float, default=None)
-        p.add_argument("--x", type=float, default=None)
-        p.add_argument("--method", choices=_METHODS, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--x-grid", dest="x_grid", type=str, default=None,
-                       help="comma-separated x values for sweep; use --x-grid=-2,-4 for negative leads")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=_FORMATS, default=None)
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)    # or sweep would read --x as --x-grid
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
-
-
-#: commands other than the value commands (eval, asympt, xval)
-_DISPATCH = {"verify": cmd_verify, "sweep": cmd_sweep}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)     # a float list that does not parse: ConfigError
+        payload = COMMANDS[args.command][0](args)
+        _emit(payload, args)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; preserve those
         return int(exc.code or 0)
-    try:
-        for name in ("lam", "x_grid"):
-            if getattr(args, name) is not None:
-                setattr(args, name, _parse_float_list(getattr(args, name)))
-        cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
-        payload = _DISPATCH.get(cfg.command, cmd_value)(cfg)
-        _emit(payload, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -84,6 +84,8 @@ class BracketCheck:
 def check_brackets(N: int, hbar: float, n_functions: int, n_arrays: int,
                    seed: int) -> list[BracketCheck]:
     """[E_{n,n+1}, E_{n+1,n}] = E_{nn} - E_{n+1,n+1} for n = 1..N-1."""
+    if N < 2:   # no n in 1..N-1: an empty list of checks would pass
+        raise ConfigError(f"check_brackets needs N >= 2, got N={N}")
     rng = np.random.default_rng(seed)
     out = []
     for n in range(1, N):
@@ -97,6 +99,8 @@ def check_brackets(N: int, hbar: float, n_functions: int, n_arrays: int,
 def check_build_EnN(N: int, hbar: float, n_functions: int, n_arrays: int,
                     seed: int) -> list[BracketCheck]:
     """Closed-form E_{n,N} against the nested commutator chain, n = 1..N-1."""
+    if N < 2:
+        raise ConfigError(f"check_build_EnN needs N >= 2, got N={N}")
     rng = np.random.default_rng(seed)
     out = []
     for n in range(1, N):

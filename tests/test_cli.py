@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -9,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from parwhit import cli
-from parwhit.cli import (_COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY, RunConfig,
-                         build_parser, main)
+from parwhit.cli import (COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY, build_parser,
+                         main)
 from parwhit.gz.whittaker import verify_left_whittaker
 
 from oracles import BESSEL_REFERENCE
@@ -30,11 +29,20 @@ class TestRunConfig:
         assert main(["eval", "--lambda", "1,a"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: cannot parse float list")
 
-    @pytest.mark.parametrize("command", _COMMANDS)
-    def test_flags_are_the_config_fields(self, command):
-        # every flag sets one RunConfig field, and every field has a flag
-        dests = set(vars(build_parser().parse_args([command])))
-        assert dests == {f.name for f in dataclasses.fields(RunConfig)}
+    #: per command, one flag it does not read
+    UNREAD = {"eval": ("--format", "csv"), "asympt": ("--seed", "3"), "verify": ("--x", "1"),
+              "sweep": ("--x", "1"), "xval": ("--method", "mb")}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_command_reads_exactly_its_flags(self, capsys, command):
+        # the namespace holds the command and its declared flags, nothing else
+        dests = {"lambda": "lam", "x-grid": "x_grid"}
+        declared = {dests.get(flag, flag) for flag in COMMANDS[command][1].split()}
+        assert set(vars(build_parser().parse_args([command]))) == declared | {"command"}
+        # a flag the command does not read is refused, not silently ignored
+        unread = self.UNREAD[command]
+        assert main([command, "--m", "2", "--N", "3", *unread]) == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
 
 
 class TestRecord:
@@ -48,6 +56,17 @@ class TestRecord:
             assert set(rec) == {"inputs", "method", "value", "error_estimate", "wall_time",
                                 "library_version", "diagnostics"}
         assert records[0]["diagnostics"] == {}
+
+    @pytest.mark.parametrize("argv", [("eval", "--method", "both"), ("asympt",), ("xval",)],
+                             ids=["eval", "asympt", "xval"])
+    def test_inputs_are_the_instance(self, capsys, argv):
+        # no flag outside the instance (a method, a seed) is echoed
+        code, out = run(capsys, *argv, "--m", "1", "--N", "3", "--lambda", "0.7,0,-0.9",
+                        "--hbar", "1.3", "--x", "-2")
+        assert code == EXIT_OK
+        instance = {"m": 1, "N": 3, "lambda": [0.7, 0.0, -0.9], "hbar": 1.3, "x": -2.0}
+        records = json.loads(out)["records"]
+        assert records and all(rec["inputs"] == instance for rec in records)
 
 
 class TestEval:
@@ -87,9 +106,9 @@ class TestEval:
         lam = (0.9, 0.4, -0.3, -1.15)
         res = eval_residue_series(SpectralData(m=2, N=4, lam=lam, hbar=1.0, x=-4.0))
         want = {"orders_summed": res.orders_summed, "terms": res.terms}
-        for command in ("eval", "xval"):
-            code, out = run(capsys, command, "--m", "2", "--N", "4",
-                            "--lambda", "0.9,0.4,-0.3,-1.15", "--x", "-4", "--method", "both")
+        for argv in (("eval", "--method", "both"), ("xval",)):
+            code, out = run(capsys, *argv, "--m", "2", "--N", "4",
+                            "--lambda", "0.9,0.4,-0.3,-1.15", "--x", "-4")
             assert code == EXIT_OK
             by_method = {r["method"]: r for r in json.loads(out)["records"]}
             assert by_method["residue"]["diagnostics"] == want
@@ -192,7 +211,7 @@ class TestXval:
         inst = ("--m", "2", "--N", "4", "--lambda", "0.9,0.4,-0.3,-1.15")
         _, out = run(capsys, "eval", *inst, "--x", "-4", "--method", "both")
         ev = json.loads(out)
-        _, out = run(capsys, "xval", *inst, "--x", "-4", "--method", "both")
+        _, out = run(capsys, "xval", *inst, "--x", "-4")
         xv = json.loads(out)
         _, out = run(capsys, "asympt", *inst, "--x", "-4")
         asym = json.loads(out)["records"][0]["value"]

@@ -251,6 +251,13 @@ class TestChecksRefuseEmptySamples:
         with pytest.raises(ConfigError, match="n_functions >= 1 and n_arrays >= 1"):
             check(*args)
 
+    @pytest.mark.parametrize("check", [check_brackets, check_build_EnN])
+    @pytest.mark.parametrize("N", [1, 0])
+    def test_fewer_than_two_rows_raise(self, check, N):
+        # with no n in 1..N-1 the list of checks would be empty and pass
+        with pytest.raises(ConfigError, match="needs N >= 2"):
+            check(N, H, 4, 4, 0)
+
 
 def _operators_with_rows(N):
     """(name, operator) for every generator of gl_N, E_{n,N}, one nested commutator,
