@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import ConfigError, SupportError
 from ..gammafns import _checked_hbar
 
-__all__ = ["TriangularArray", "SupportConstraints", "random_array"]
+__all__ = ["TriangularArray", "SupportConstraints", "random_array", "moved_rows"]
 
 Position = tuple[int, int]          # (row n, column i), both 1-based
 ShiftMap = Mapping[Position, int]   # integer shifts in units of hbar
@@ -47,14 +47,23 @@ class TriangularArray:
         """
         if not shift:
             return self
-        rows = list(self.rows)
-        for (n, i), k in shift.items():
-            r = list(rows[n - 1])
-            r[i - 1] += k * hbar
-            rows[n - 1] = tuple(r)
         out = object.__new__(TriangularArray)
-        object.__setattr__(out, "rows", tuple(rows))
+        object.__setattr__(out, "rows", moved_rows(self.rows, shift, hbar))
         return out
+
+
+def moved_rows(rows: tuple[tuple[complex, ...], ...], shift: ShiftMap, hbar: float,
+               first: int = 1) -> tuple[tuple[complex, ...], ...]:
+    """rows, holding rows first, first+1, ... of an array, with shift applied.
+
+    Every position of shift must lie in those rows.  Each moved row is
+    rebuilt from tuple slices around its new entry; the others are kept.
+    """
+    out = list(rows)
+    for (n, i), k in shift.items():
+        r = out[n - first]
+        out[n - first] = r[:i - 1] + (r[i - 1] + k * hbar,) + r[i:]
+    return tuple(out)
 
 
 def random_array(N: int, rng: np.random.Generator) -> TriangularArray:
@@ -67,10 +76,11 @@ def random_array(N: int, rng: np.random.Generator) -> TriangularArray:
     for _ in range(200):
         rows = []
         for n in range(1, N + 1):
-            r = [complex(v) for v in rng.uniform(-2.0, 2.0, size=n) + 1j * rng.uniform(-2.0, 2.0, size=n)]
+            re, im = rng.uniform(-2.0, 2.0, size=n).tolist(), rng.uniform(-2.0, 2.0, size=n).tolist()
+            r = tuple(map(complex, re, im))
             if any(abs(r[a] - r[b]) < 0.05 for a in range(n) for b in range(a + 1, n)):
                 break
-            rows.append(tuple(r))
+            rows.append(r)
         else:
             return TriangularArray(tuple(rows))
     raise ConfigError("failed to sample a well-separated array")

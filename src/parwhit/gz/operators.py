@@ -14,9 +14,11 @@ n..N, a product or sum reads the hull of its operands' ranges, and an
 operator built from a bare symbol reads every row.  A symbol depends only on
 those rows, so `apply` owns one memo for the length of the call and every
 operator it reaches looks its symbol up there under (operator, its rows of
-the array), computing it only on a miss.  Inside a nested commutator the
-same generator is reached at many shifted arrays that agree on its two rows;
-each distinct input is computed once.  Symbols are therefore read-only
+the array), computing it only on a miss.  A product looks its right operand
+up at each of the left operand's shifts by moving only the operand's own
+rows; the shifted array is built only on a miss.  Inside a nested commutator
+the same generator is reached at many shifted arrays that agree on its two
+rows; each distinct input is computed once.  Symbols are therefore read-only
 values: nothing mutates a dict a symbol returned.
 
 The generator realization (E_kk multiplication; E_{n,n+1} and E_{n+1,n}
@@ -47,7 +49,7 @@ from typing import Callable, Iterable, Mapping
 
 from ..errors import ConfigError
 from ..gammafns import _checked_hbar
-from .arrays import TriangularArray
+from .arrays import TriangularArray, moved_rows
 from .combin import factor
 
 __all__ = ["DifferenceOperator", "measure_ratio", "gen", "commutator",
@@ -80,9 +82,10 @@ class DifferenceOperator:
 
     `shifts` lists the distinct shift keys; `symbol(arr, memo)` returns a
     fresh dict {key: c_key(arr)} over exactly those keys, reading the
-    operators it was built from through `coeffs(arr, memo)`.  `rows` is the
-    range of rows the coefficients read (every row by default).  `dagger`,
-    when given, builds the adjoint from the parts the operator was made of.
+    operators it was built from through `coeffs(arr, memo, move)`.  `rows`
+    is the range of rows the coefficients read (every row by default).
+    `dagger`, when given, builds the adjoint from the parts the operator was
+    made of.
     """
 
     def __init__(self, hbar: float, shifts: Iterable[ShiftKey], symbol: Symbol,
@@ -98,21 +101,39 @@ class DifferenceOperator:
     def __len__(self) -> int:
         return len(self.shifts)
 
-    def coeffs(self, arr: TriangularArray, memo: dict) -> Mapping[ShiftKey, complex]:
-        """The symbol at arr, computed once per memo for each distinct content of its rows."""
-        key = (self, arr.rows[self._read])
+    def coeffs(self, arr: TriangularArray, memo: dict,
+               move: Mapping[tuple[int, int], int] | None = None) -> Mapping[ShiftKey, complex]:
+        """The symbol at arr.shifted(move), computed once per memo for each content of its rows.
+
+        Every position of move must lie in the operator's rows.  The memo key
+        is the moved slice of those rows; the shifted array is built only on
+        a miss.
+        """
+        rows = arr.rows[self._read]
+        if move:
+            rows = moved_rows(rows, move, self.hbar, self.rows[0])
+        key = (self, rows)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = self.symbol(arr, memo)
+            out = memo[key] = self.symbol(arr.shifted(move, self.hbar) if move else arr, memo)
         return out
 
-    def apply(self, f: TestFn, arr: TriangularArray) -> complex:
-        """Evaluate (A f)(arr), skipping shifts whose coefficient is exactly zero."""
+    def apply(self, f: TestFn, arr: TriangularArray, values: dict | None = None) -> complex:
+        """Evaluate (A f)(arr), skipping shifts whose coefficient is exactly zero.
+
+        f is evaluated once per shift key and kept in values; operators of the
+        same hbar applied at the same arr may share one values dict.
+        """
         h = self.hbar
+        if values is None:
+            values = {}
         out = 0j
         for key, c in self.symbol(arr, {}).items():
             if c != 0:
-                out += c * f(arr.shifted(dict(key), h))
+                v = values.get(key)
+                if v is None:
+                    v = values[key] = f(arr.shifted(dict(key), h))
+                out += c * v
         return out
 
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
@@ -121,13 +142,16 @@ class DifferenceOperator:
             raise ConfigError("cannot compose operators with different hbar")
         h = self.hbar
         sums = {ka: {kb: _add_keys(ka, kb) for kb in other.shifts} for ka in self.shifts}
-        moves = {ka: dict(ka) for ka in self.shifts}
+        # other reads only its own rows, so each shift of self moves only those
+        first, last = other.rows
+        moves = {ka: {(n, i): k for (n, i), k in ka if first <= n and (last is None or n <= last)}
+                 for ka in self.shifts}
 
         def symbol(arr, memo):
             out: dict[ShiftKey, complex] = {}
             for ka, ca in self.coeffs(arr, memo).items():
                 row = sums[ka]
-                for kb, cb in other.coeffs(arr.shifted(moves[ka], h), memo).items():
+                for kb, cb in other.coeffs(arr, memo, moves[ka]).items():
                     key = row[kb]
                     out[key] = out.get(key, 0j) + ca * cb
             return out
@@ -307,14 +331,16 @@ def measure_ratio(arr: TriangularArray, shift: Mapping[tuple[int, int], int], hb
     """
     out = 1.0 + 0j
     for n in sorted({n for n, _ in shift if 2 <= n < arr.N}):   # rows the shift moves
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
+        row = arr.row(n)
+        moves = [shift.get((n, i), 0) for i in range(1, n + 1)]
+        for i in range(n):
+            for j in range(n):
                 if i == j:
                     continue
-                d = shift.get((n, i), 0) - shift.get((n, j), 0)
+                d = moves[i] - moves[j]
                 if d == 0:
                     continue
-                v = (arr.gamma(n, i) - arr.gamma(n, j)) / hbar
+                v = (row[i] - row[j]) / hbar
                 # Gamma(v+d)/Gamma(v) as a Pochhammer product; mu carries 1/Gamma
                 p = 1.0 + 0j
                 for t in (range(d) if d > 0 else range(-1, d - 1, -1)):

@@ -61,8 +61,7 @@ def _verified_hbar(hbar: float | None, rng: np.random.Generator) -> float:
 
 def _block_args(arr: TriangularArray, n: int, p: int, h: float) -> np.ndarray:
     """gamma_{n-1,a} - gamma_{n,b} + hbar/2 for a <= p, b <= n, row-major in (a, b)."""
-    return np.array([arr.gamma(n - 1, a) - arr.gamma(n, b) + h / 2
-                     for a in range(1, p + 1) for b in range(1, n + 1)])
+    return (np.subtract.outer(arr.row(n - 1)[:p], arr.row(n)) + h / 2).ravel()
 
 
 def _log_block(arr: TriangularArray, n: int, p: int, h: float) -> complex:

@@ -4,7 +4,9 @@ These deliberately avoid the library's own gamma/quadrature machinery:
 k0_series is the textbook convergent expansion of the modified Bessel
 function; homogeneous_poly enumerates monomials directly; tensor_trapezoid
 sums the Mellin-Barnes integrand node by node over the full n^m grid;
-gz_measure evaluates the Gelfand-Zetlin pairing measure factor by factor.
+gz_measure evaluates the Gelfand-Zetlin pairing measure factor by factor;
+plain_operator_deviation applies two operators with no memo of symbols or
+test-function values.
 """
 
 import cmath
@@ -13,6 +15,9 @@ import math
 
 import numpy as np
 from scipy.special import loggamma
+
+from parwhit.gz import TriangularArray, random_array
+from parwhit.gz.identity import random_test_function
 
 
 def k0_series(z: float, terms: int = 120) -> float:
@@ -59,6 +64,38 @@ def gz_measure(arr, hbar: float) -> complex:
                     return 0j
                 out *= cmath.exp(-complex(loggamma(v)))
     return out
+
+
+class _Forgetful(dict):
+    """A symbol memo that keeps nothing: every lookup evaluates the symbol afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _plain_apply(op, f, arr) -> complex:
+    """(op f)(arr) from a memo-free symbol, f taken at a freshly built array for each key."""
+    out = 0j
+    for key, c in op.symbol(arr, _Forgetful()).items():
+        if c != 0:
+            rows = [list(r) for r in arr.rows]
+            for (n, i), k in key:
+                rows[n - 1][i - 1] += k * op.hbar
+            out += c * f(TriangularArray(tuple(tuple(r) for r in rows)))
+    return out
+
+
+def plain_operator_deviation(A, B, N: int, rng, n_functions: int, n_arrays: int) -> float:
+    """operator_deviation with no memo: the same draws of test functions and arrays, and
+    each operator applied on its own, every symbol and every point of f computed afresh."""
+    worst = 0.0
+    for _ in range(n_functions):
+        f = random_test_function(N, rng)
+        for _ in range(n_arrays):
+            arr = random_array(N, rng)
+            va, vb = _plain_apply(A, f, arr), _plain_apply(B, f, arr)
+            worst = max(worst, abs(va - vb) / max(abs(va), abs(vb), 1.0))
+    return worst
 
 
 #: 2*K0(2*e^(x/2)) frozen from k0_series (cross-checked against the series at test time)

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import dataclasses
 import math
 
@@ -12,7 +13,7 @@ from parwhit.gz.identity import (BracketCheck, check_brackets, check_build_EnN,
                                  operator_deviation, random_test_function)
 from parwhit.errors import ConfigError, DomainError
 
-from oracles import gz_measure
+from oracles import gz_measure, plain_operator_deviation
 
 H = 1.1
 
@@ -103,6 +104,12 @@ class TestCommutator:
         with pytest.raises(DomainError, match="hbar = 1e-300"):
             check(4, 1e-300, 5, 5, seed)
 
+    def test_deviation_needs_one_hbar(self):
+        # the two operators share their test-function values by shift key
+        with pytest.raises(ConfigError, match="different hbar"):
+            operator_deviation(gen("cartan", 1, 3, H), gen("cartan", 1, 3, 2 * H), 3,
+                               np.random.default_rng(0), 1, 1)
+
 
 class TestBuildEnN:
     def test_reduces_to_raise_at_top(self):
@@ -182,6 +189,31 @@ class TestTriangularArray:
         assert arr.rows == before
         with pytest.raises(dataclasses.FrozenInstanceError):
             got.rows = before
+
+    # seed 204 redraws at N = 4 and N = 6, seeds 43 and 179 at N = 6
+    @pytest.mark.parametrize("N,seed", [(3, 0), (4, 204), (5, 7), (6, 43), (6, 179), (6, 801)])
+    def test_random_array_keeps_its_draws(self, N, seed):
+        # the construction the per-row map(complex, ...) replaced
+        def reference(rng):
+            for attempt in range(1, 201):
+                rows = []
+                for n in range(1, N + 1):
+                    r = [complex(v) for v in
+                         rng.uniform(-2.0, 2.0, size=n) + 1j * rng.uniform(-2.0, 2.0, size=n)]
+                    if any(abs(r[a] - r[b]) < 0.05 for a in range(n) for b in range(a + 1, n)):
+                        break
+                    rows.append(tuple(r))
+                else:
+                    return rows, attempt
+
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        expect, attempts = reference(clone)
+        got = random_array(N, rng)
+        assert [[(g.real.hex(), g.imag.hex()) for g in r] for r in got.rows] == \
+            [[(g.real.hex(), g.imag.hex()) for g in r] for r in expect]
+        assert rng.bit_generator.state == clone.bit_generator.state
+        assert (attempts > 1) == (seed in (43, 179, 204))
 
 
 class TestAdjoint:
@@ -327,3 +359,101 @@ class TestMemo:
         monkeypatch.setattr(identity, "gen", counted_gen)
         check_build_EnN(6, H, 3, 3, seed=202101160)
         assert len(calls) == len(inputs) == 495
+
+    @staticmethod
+    def _moves(op, N, rng):
+        """Three moves of op's rows: one entry, one per row, and two entries of one row."""
+        first, last = op.rows
+        rows = range(first, (last or N) + 1)
+        one = {(first, 1): -1}
+        each = {(n, int(rng.integers(1, n + 1))): int(rng.choice([-2, -1, 1])) for n in rows}
+        wide = max(rows)
+        two = {(wide, 1): 1, (wide, wide): -1} if wide > 1 else one
+        return one, each, two
+
+    @staticmethod
+    def _hex(symbol):
+        return {key: (c.real.hex(), c.imag.hex()) for key, c in symbol.items()}
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_moved_lookup_equals_lookup_at_shifted_array(self, N):
+        rng = np.random.default_rng(40 + N)
+        arr = random_array(N, rng)
+        for name, op in _operators_with_rows(N):
+            for move in self._moves(op, N, rng):
+                expect = self._hex(op.coeffs(arr.shifted(move, H), {}))
+                assert self._hex(op.coeffs(arr, {}, move)) == expect, (name, move)
+                memo = {}
+                filled = op.coeffs(arr.shifted(move, H), memo)
+                assert op.coeffs(arr, memo, move) is filled, (name, move)
+
+    def test_repeated_lookup_builds_no_array(self, monkeypatch):
+        N = 5
+        arr = random_array(N, np.random.default_rng(45))
+        op = build_Eij(1, 4, N, H)
+        move = {(2, 1): -1, (3, 2): 1}
+        memo = {}
+        first = op.coeffs(arr, memo, move)
+        built = []
+        shifted = TriangularArray.shifted
+        monkeypatch.setattr(TriangularArray, "shifted",
+                            lambda self, *args: built.append(1) or shifted(self, *args))
+        assert op.coeffs(arr, memo, move) is first
+        assert op.coeffs(arr.shifted(move, H), memo) is first
+        assert len(built) == 1                 # the explicit shift above, none inside coeffs
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_each_point_is_evaluated_once(self, monkeypatch, N):
+        # f runs once per distinct shift key with a nonzero coefficient in A or B
+        import parwhit.gz.identity as identity
+        events = []
+        make_f, draw = identity.random_test_function, identity.random_array
+
+        def counted_f(N, rng):
+            f = make_f(N, rng)
+            return lambda point: events.append(point.rows) or f(point)
+
+        def recorded_array(N, rng):
+            arr = draw(N, rng)
+            events.append(arr)
+            return arr
+
+        monkeypatch.setattr(identity, "random_test_function", counted_f)
+        monkeypatch.setattr(identity, "random_array", recorded_array)
+        pairs = [(commutator(gen("raise", 1, N, H), gen("lower", 1, N, H)),
+                  gen("cartan", 1, N, H) - gen("cartan", 2, N, H)),
+                 (build_EnN(1, N, H), build_Eij(1, N, N, H))]
+        for A, B in pairs:
+            events.clear()
+            operator_deviation(A, B, N, np.random.default_rng(N), 2, 3)
+            starts = [k for k, e in enumerate(events) if isinstance(e, TriangularArray)]
+            assert len(starts) == 6
+            for k, end in zip(starts, starts[1:] + [len(events)]):
+                arr, points = events[k], events[k + 1:end]
+                keys = {key for op in (A, B) for key, c in op.symbol(arr, {}).items() if c != 0}
+                assert len(points) == len(keys)
+                assert set(points) == {arr.shifted(dict(key), H).rows for key in keys}
+
+
+class TestPlainOracle:
+    """The memoized deviations equal a memo-free evaluation, in float hex."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_brackets(self, N):
+        got = check_brackets(N, H, 2, 2, seed=500 + N)
+        rng = np.random.default_rng(500 + N)
+        for n, check in enumerate(got, start=1):
+            lhs = commutator(gen("raise", n, N, H), gen("lower", n, N, H))
+            rhs = gen("cartan", n, N, H) - gen("cartan", n + 1, N, H)
+            assert check.deviation.hex() == plain_operator_deviation(lhs, rhs, N, rng, 2, 2).hex()
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_build_EnN(self, N):
+        got = check_build_EnN(N, H, 2, 2, seed=600 + N)
+        rng = np.random.default_rng(600 + N)
+        for n, check in enumerate(got, start=1):
+            nested = gen("raise", n, N, H)
+            for k in range(n + 1, N):
+                nested = commutator(nested, gen("raise", k, N, H))
+            dev = plain_operator_deviation(build_EnN(n, N, H), nested, N, rng, 2, 2)
+            assert check.deviation.hex() == dev.hex()

@@ -9,6 +9,7 @@ from parwhit.errors import ConfigError, DomainError, SupportError
 from parwhit.gz import (SupportConstraints, TriangularArray, psi_L,
                         random_array, verify_left_whittaker,
                         verify_right_support_relations)
+from parwhit.gz.whittaker import _block_args
 
 
 class TestPsiL:
@@ -36,6 +37,20 @@ class TestPsiL:
             b = psi_L(3, shifted, h)
             # rows m-1, m untouched by the row-1 shift for m = 3
             assert b == pytest.approx(-a, rel=1e-12)
+
+
+@pytest.mark.parametrize("N,n,p", [(3, 2, 1), (4, 4, 2), (5, 3, 2), (6, 6, 4), (6, 4, 3)])
+def test_block_args_keep_their_arithmetic(N, n, p):
+    # the elementwise form the numpy outer difference replaced, in float hex
+    h = 1.1
+    for seed in range(3):
+        arr = random_array(N, np.random.default_rng(seed))
+        expect = [arr.gamma(n - 1, a) - arr.gamma(n, b) + h / 2
+                  for a in range(1, p + 1) for b in range(1, n + 1)]
+        got = _block_args(arr, n, p, h)
+        assert got.shape == (p * n,)
+        assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
+            [(z.real.hex(), z.imag.hex()) for z in expect]
 
 
 class TestLeftWhittaker:
