@@ -18,6 +18,7 @@ as null.  CSV is offered for sweeps.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -97,6 +98,7 @@ def _evaluate(s: SpectralData, method: str) -> tuple[LogComplex, dict]:
     if method == "mb":
         res = eval_mb(s, auto_contour(s, CONTOUR_TOL))
         value, err = res.value, res.error_estimate
+        diagnostics = dataclasses.asdict(res.config)     # lines, half_extent, nodes_per_dim
     elif method == "residue":
         res = eval_residue_series(s)
         value, err = res.value, res.tail_estimate

@@ -17,7 +17,8 @@ Two kernels carry all of it, and this is the only module that calls scipy:
                          integer, the pole set of Gamma(w).
 
 The quadrature, the residue tables, the coset sum and the GZ Whittaker vector
-call these two.
+call these two; scipy's complex digamma, bound here too, puts the quadrature's
+lines through their saddles.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
+from scipy.special import digamma, loggamma as _loggamma
 
 from .errors import ConfigError
 
-__all__ = ["log_gamma1", "on_pole_lattice", "POLE_TOL"]
+__all__ = ["log_gamma1", "on_pole_lattice", "digamma", "POLE_TOL"]
 
 #: distance (in units of hbar for gamma1) below which an argument counts as a pole
 POLE_TOL = 1e-12

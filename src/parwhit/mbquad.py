@@ -1,51 +1,27 @@
 """Mellin-Barnes contour quadrature for the specialized Whittaker function.
 
-Evaluates
+The m-fold integral of e^{-(x/hbar) sum gamma_i} prod_{i,j} gamma1(gamma_i - lambda_j)
+over the pair measure prod_{i != k} 1/gamma1(gamma_i - gamma_k) is, by the
+Vandermonde form of the measure and the Andréief identity,
+Psi = m! (2 pi hbar)^(-m(m-1)/2) det M with
 
-    Psi(x) = (2*pi*i)^(-m) Int_C dgamma  e^{-(x/hbar) sum gamma_i}
-             * prod_{i<=m, j<=N} gamma1(gamma_i - lambda_j | hbar)
-             * prod_{i != k}    1 / gamma1(gamma_i - gamma_k | hbar)
+    M_ik = (2 pi i)^(-1) Int (-i gamma)^i e^{-x_k gamma/hbar} prod_j gamma1(gamma - lambda_j) dgamma,
 
-on the truncated product contour C = (i[-T, T] + epsilon)^m with a uniform
-trapezoid rule per dimension.  The integrand is analytic in a strip around
-the contour and decays in every |Im gamma_i| direction, so the trapezoid
-converges geometrically in both the step and the truncation.
-
-The sum is not formed node by node.  On the vertical contour the pair
-measure factorizes into two Vandermonde determinants,
-
-    prod_{i != k} 1 / gamma1(i(y_i - y_k) | hbar)
-        = (2 pi hbar)^(-m(m-1)/2) det[y_i^j] det[e^{(2k-m+1) pi y_i / hbar}],
-
-so by the Andréief (Cauchy-Binet) identity, which holds for the discrete
-trapezoid measure as for any other, the m-fold tensor sum over n^m nodes
-equals exactly
-
-    m! (T / (2 pi hbar))^(m(m-1)/2) det M,
-    M_jk = sum_y w(y) f(y) (y/T)^j e^{(2k-m+1) pi y / hbar},
-
-an m x m matrix of one-dimensional trapezoid moments (f: the exponent and
-the N numerator gammas over 2 pi; w: the trapezoid weight).  The cost is
-O(n m^2) instead of O(n^m), for every m.  Columns are rescaled in log space
-and the determinant comes from an LU factorization (numpy.linalg.slogdet).
-
-The error budget reads per-node leverages lev(y) = G[y] M^-1 F[y] (M = F^T G):
-by the matrix-determinant lemma, dropping node y scales det M by
-1 - lev(y), and the leverages sum to m.  The truncation tail is the
-leverage of the two end nodes, continued over ~2 hbar of further decay;
-sum |lev| / m measures the cancellation between nodes and scales both the
-aliasing term and the round-off floor 2e-16 sqrt(n) sum |lev|.
-
-Contour placement trades two error sources against each other: the distance
-of epsilon above max(lambda) sets the analyticity margin (hence the step),
-while for x << 0 every unit of that distance inflates the oscillatory
-cancellation of the integral by e^{|x| m / hbar}.  auto_contour shrinks the
-offset adaptively so the cancellation stays within double-precision reach.
+x_k = x + i pi (2k - m + 1): column k is the m = 1 integral at x_k (the
+abelian/non-abelian form of the Grassmannian J-function).  Each column runs
+on its own vertical line, through its saddle (the root of
+sum_j psi((sigma - lambda_j)/hbar) + N log hbar = x_k) or at the floor
+max(lambda) + _contour_offset; it is one trapezoid sum, scaled in log space,
+and det M comes from slogdet.  On one common line this is exactly the m-fold
+tensor trapezoid sum.  The error estimate adds, per column, the tail and the
+aliasing, weighted by the determinant's sensitivity to the column, and the
+round-off of each node's terms of log W, weighted by the node's share
+G[y] F[y] M^-1[:,k] of log det M.
 """
 
 from __future__ import annotations
 
-import itertools
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,15 +29,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DeskScaleError, PoleError, QuadratureError
-from .gammafns import log_gamma1, on_pole_lattice
+from .gammafns import digamma, log_gamma1, on_pole_lattice
 from .logcomplex import LogComplex
 from .spectral import MAX_NODES_PER_DIM, MAX_REL_ERR, ContourConfig, SpectralData
 
 __all__ = ["MBResult", "integrand", "eval_mb", "auto_contour"]
 
-#: target exponent for the discretization (aliasing) error of the trapezoid;
-#: the Poisson-image amplitude carries a prefactor of order a few hundred
-_DISC_DECADES = 25.3  # ln(1e11)
+#: target exponent of the trapezoid's aliasing error (ln 1e13; at ln 1e11 the
+#: values on a line at max(lambda) + hbar stopped at 4e-11)
+_DISC_DECADES = 29.9
 
 #: cancellation budget (in nats) allotted to the contour offset at large |x|*m
 _CANCEL_BUDGET = 10.0
@@ -69,7 +45,14 @@ _CANCEL_BUDGET = 10.0
 _PROBE_NODES = 33
 _GROWTH = 1.5
 
-#: largest m the 33^m contour probe of auto_contour serves (eval_mb serves every m)
+#: margin of the truncation probe below tol: an outer column decays only like e^{-pi |t| / 2}
+_TAIL_MARGIN = 1e-4
+
+#: round-off of W per unit size of the terms of log W, added over the nodes as if in phase:
+#: 8 x 2e-16, because at 2e-16 the (1,2) rows at x = -8 kept only 3.1x over their error
+_ROUND_OFF = 1.6e-15
+
+#: largest m auto_contour serves: at m = 4 the estimate no longer bounds the error
 MAX_QUAD_DIM = 3
 
 
@@ -78,8 +61,8 @@ class MBResult:
     """Quadrature value with a relative error estimate.
 
     error_estimate aggregates the contour-truncation tail, the trapezoid
-    aliasing error, and the round-off floor of the moment sums; it is an
-    order-of-magnitude bound, not a rigorous one.
+    aliasing error, and the round-off of the integrand's terms, node by node;
+    it is an order-of-magnitude bound, not a rigorous one.
     """
 
     value: LogComplex
@@ -109,44 +92,14 @@ def integrand(gamma: Sequence[complex], s: SpectralData) -> LogComplex:
         -(s.x / h) * g.sum() + log_gamma1(num, h).sum() - log_gamma1(pairs, h).sum()))
 
 
-def _numerator_log(s: SpectralData, epsilon: float, y: np.ndarray) -> np.ndarray:
-    """Per-dimension log factor A(y): exponent plus the N gamma1 numerators."""
-    g = epsilon + 1j * y
-    terms = log_gamma1(g - s.lam_array[:, None], s.hbar)
-    return np.vstack([-(s.x / s.hbar) * g, terms]).sum(axis=0)
+def _column_shifts(s: SpectralData) -> np.ndarray:
+    """x_k = x + i pi (2k - m + 1): column k is the m = 1 integrand at x_k."""
+    return s.x + 1j * math.pi * (2 * np.arange(s.m) - s.m + 1)
 
 
-def _pair_log(s: SpectralData, y: np.ndarray) -> np.ndarray:
-    """Symmetrized log of the pair measure: Q[a,b] = -log gamma1(i(y_a - y_b)) - log gamma1(i(y_b - y_a)).
-
-    The diagonal carries the exact zero of the measure (log = -inf).
-    """
-    h = s.hbar
-    eye = np.eye(len(y), dtype=bool)
-    C = -log_gamma1(np.where(eye, h, 1j * (y[:, None] - y[None, :])), h)
-    C[eye] = -np.inf
-    return C + C.T
-
-
-def _moments(s: SpectralData, c: ContourConfig):
-    """Andréief moment matrix of the trapezoid rule on the contour c.
-
-    Returns (F, G, M, log_scale): F[y, j] = (y/T)^j and
-    G[y, k] = exp((2k - m + 1) pi y / hbar + A(y) - log_scale[k]) over the
-    nodes y, where A carries the numerator, the trapezoid weight and the
-    1/(2 pi) of the measure; M = F^T G is the m x m moment matrix.
-    """
-    m, h, T = s.m, s.hbar, c.half_extent
-    y = np.linspace(-T, T, c.nodes_per_dim)
-    logw = np.full(y.size, math.log(c.step))
-    logw[[0, -1]] -= math.log(2.0)
-    A = _numerator_log(s, c.epsilon, y) + logw - math.log(2.0 * math.pi)
-    k = np.arange(m)
-    E = A[:, None] + np.outer(y, (2 * k - m + 1) * (math.pi / h))
-    log_scale = E.real.max(axis=0)
-    G = np.exp(E - log_scale)
-    F = (y / T)[:, None] ** k
-    return F, G, F.T @ G, log_scale
+def _column_log(s: SpectralData, xk: complex, g: np.ndarray) -> np.ndarray:
+    """log W(gamma) = -(x_k/hbar) gamma + sum_j log gamma1(gamma - lambda_j) at the nodes g."""
+    return -(xk / s.hbar) * g + log_gamma1(g - s.lam_array[:, None], s.hbar).sum(axis=0)
 
 
 def eval_mb(
@@ -162,32 +115,61 @@ def eval_mb(
     (QuadratureError); pass max_rel_err=None to disable the check.
     """
     c.validate_for(s)
-    m, h = s.m, s.hbar
+    m, h, n = s.m, s.hbar, c.nodes_per_dim
+    y = np.linspace(-c.half_extent, c.half_extent, n)
+    logw = np.full(n, math.log(c.step / (2.0 * math.pi)))
+    logw[[0, -1]] -= math.log(2.0)
+    coarse = np.where(np.arange(n) % 2, 0.0, 2.0)    # the trapezoid at twice the step
+    # rows (-i gamma / S)^i stay within [0, 1]; det M carries S^P
+    S = max(abs(complex(ck, c.half_extent)) for ck in c.lines)
+    M, M2 = np.empty((2, m, m), dtype=complex)
+    log_scale, sums, tails = np.empty((3, m))
+    cols = []
+    for k, (xk, ck) in enumerate(zip(_column_shifts(s), c.lines)):
+        g = ck + 1j * y
+        A = _column_log(s, xk, g) + logw
+        log_scale[k] = A.real.max()
+        G = np.exp(A - log_scale[k])
+        F = ((y - 1j * ck) / S)[:, None] ** np.arange(m)
+        M[:, k], M2[:, k] = G @ F, (coarse * G) @ F
+        absF = np.linalg.norm(F, axis=1) * np.abs(G)
+        # the end nodes carry half weight; beyond them the nodes decay by q each
+        end = absF[[0, -1]]
+        q = np.divide(2.0 * end, absF[[1, -2]], out=np.zeros(2), where=end > 0)
+        more = np.divide(1.0 + q, 1.0 - q, out=np.full(2, np.inf), where=q < 1.0)
+        sums[k], tails[k] = absF.sum(), end @ np.maximum(2.0 * h / c.step, more)
+        # per node, the size of the terms of log W (x_k gamma / hbar, w log hbar + loggamma(w)):
+        # their round-off, and the node's own, is a relative error of W of eps times that
+        w = np.abs(g - s.lam_array[:, None]) / h
+        size = np.abs(xk * g) / h + (w * (abs(math.log(h)) + np.abs(np.log(w)) + math.pi + 1.0)).sum(axis=0)
+        cols.append((G, F, size))
 
-    F, G, M, log_scale = _moments(s, c)
     sign, logdet = np.linalg.slogdet(M)
     if sign == 0:
         return MBResult(LogComplex.zero(), math.inf, c)
     pairs = m * (m - 1) // 2
     log_mag = (logdet + float(log_scale.sum()) + math.lgamma(m + 1)
-               + pairs * math.log(c.half_extent / (2.0 * math.pi * h)))
+               + pairs * math.log(S / (2.0 * math.pi * h)))
     value = LogComplex(log_mag, float(np.angle(sign)))
 
-    # removing node y scales det M by 1 - G[y] M^-1 F[y]; these leverages sum to m
-    lev = np.abs(np.einsum("yk,ky->y", G, np.linalg.solve(M, F.T)))
-    lev_sum = float(lev.sum())
-    amp = max(0.0, math.log(lev_sum / m))
-    # truncation: end-node leverage, extended over ~2 hbar of further decay
-    tail_rel = float(lev[0] + lev[-1]) * (2.0 * h / c.step)
-    # aliasing: analyticity margin d, oscillation |x|/h, pair-measure growth pi(m-1)/h
-    d = min(c.epsilon - s.lam_max, h)
-    alias_log = -(2 * math.pi / c.step) * d + (abs(s.x) / h + math.pi * (m - 1) / h) * d
-    alias_rel = 300.0 * math.exp(max(-700.0, alias_log + 0.5 * amp))
-    # round-off of the moment sums, amplified by cancellation between nodes
-    noise_rel = 2e-16 * math.sqrt(c.nodes_per_dim) * lev_sum
+    # relative error of det M per unit absolute error of column k: ||M^-1[k,:]||
+    inv = np.linalg.inv(M)
+    sens = np.linalg.norm(inv, axis=1)
+    tail_rel = float(sens @ tails)
+    # aliasing: a pole at distance d from the line puts e^{-pi d/step} of its image at
+    # twice the step into the image at the step, along the same vector dM[:,k], whose
+    # effect on det M is (M^-1 dM)_kk; ten times that.  An outer column whose mass lies
+    # far out on the line is not resolved at twice the step: the margin bound caps it.
+    d = np.minimum(np.asarray(c.lines) - s.lam_max, h)
+    measured = 10.0 * np.abs(np.einsum("ki,ik->k", inv, M2 - M)) * np.exp(-math.pi * d / c.step)
+    bound = 300.0 * np.exp(-(2 * math.pi / c.step) * d + (max(s.x, 0.0) / h) * d)
+    alias_rel = float(np.minimum(measured, sens * bound * np.sqrt(sums * np.linalg.norm(M, axis=0))).sum())
+    # round-off: a relative error e of node y's term moves log det M by e G[y] F[y] M^-1[:,k]
+    noise_rel = _ROUND_OFF * sum(float(np.abs(G * (F @ inv[k])) @ size)
+                                 for k, (G, F, size) in enumerate(cols))
     err = tail_rel + alias_rel + noise_rel
 
-    if max_rel_err is not None and err > max_rel_err:
+    if max_rel_err is not None and not err <= max_rel_err:
         raise QuadratureError(
             f"quadrature error estimate {err:.2e} exceeds {max_rel_err:.2e} "
             f"(tail {tail_rel:.1e}, aliasing {alias_rel:.1e}, round-off {noise_rel:.1e})"
@@ -196,7 +178,7 @@ def eval_mb(
 
 
 def _contour_offset(s: SpectralData) -> float:
-    """Offset of the contour above max(lambda).
+    """Least offset of a line above max(lambda).
 
     The default is one full hbar.  For strongly negative x the integrand's
     oscillatory cancellation grows like e^{(|x|/hbar)(m*offset + spread)}, so
@@ -212,36 +194,55 @@ def _contour_offset(s: SpectralData) -> float:
     return h * min(1.0, max(0.2, frac))
 
 
-def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
-    """Choose a contour for eval_mb by growing the truncation geometrically.
+def _saddle(s: SpectralData, xk: complex) -> complex:
+    """Root of sum_j psi((sigma - lambda_j)/hbar) + N log hbar = x_k by Newton from
+    lambda_max + max(hbar, |e^{x_k/N}|) e^{i Im(x_k)/N}, each step at most half
+    the distance to max(lambda).  Refused where the round-off of the term
+    x_k sigma / hbar of log W alone would exceed MAX_REL_ERR."""
+    h, lam, top = s.hbar, s.lam_array, s.lam_max
+    log_size = math.log(max(abs(xk), h) / h) + math.log(abs(top) + h) + max(0.0, xk.real / s.N)
+    if log_size > math.log(MAX_REL_ERR / _ROUND_OFF):
+        raise QuadratureError(f"the saddle at x = {s.x:g} lies near e^(x/N), beyond the reach of a "
+                              f"double-precision quadrature: the terms of log W reach e^{log_size:.0f}")
+    z = top + max(h, math.exp(xk.real / s.N)) * cmath.exp(1j * xk.imag / s.N)
+    for _ in range(100):
+        dz = 1e-7 * abs(z - top)
+        f0, f1 = digamma((np.array([z, z + dz])[:, None] - lam) / h).sum(axis=1) + s.N * math.log(h) - xk
+        step = -f0 * dz / (f1 - f0)
+        if not abs(step) > 1e-13 * abs(z - top):
+            break
+        z += step * min(1.0, 0.5 * abs(z - top) / abs(step))
+    return z
 
-    The half-extent T grows until the largest integrand magnitude on the
-    truncation boundary of a coarse probe grid falls below tol times the
-    largest magnitude in the interior; the node count then enforces both the
-    step bound hbar/4 and the aliasing/oscillation budget.  A node count above
-    MAX_NODES_PER_DIM raises QuadratureError before anything is allocated, and
-    before the probe when T = 2 hbar already exceeds it.
+
+def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
+    """Lines, truncation and node count for eval_mb.
+
+    T grows from 2 hbar until on every line the end nodes of a 33-node probe
+    fall 1e-4 tol below its peak, less a floored line's cancellation.  A node
+    count above MAX_NODES_PER_DIM is refused before anything is allocated, and
+    before the saddles are solved when the coarsest step allows none at T = 2 hbar.
     """
     if not (tol > 0):
         raise ConfigError(f"tol must be > 0, got {tol}")
     m, h = s.m, s.hbar
     if m > MAX_QUAD_DIM:
         raise DeskScaleError(
-            f"m = {m} exceeds the desk-scale limit ({MAX_QUAD_DIM}) of the quadrature contour probe"
+            f"m = {m} exceeds the largest m ({MAX_QUAD_DIM}) whose quadrature error estimate is validated"
         )
     if s.N < 2 * m - 1:
-        # |y_i| -> inf: the numerators decay like e^{-N pi |y| / (2 hbar)}, the
-        # pair measure grows like e^{(m-1) pi |y| / hbar}
+        # |t| -> inf: the numerators decay like e^{-N pi |t| / (2 hbar)}, the
+        # outer columns grow like e^{(m-1) pi |t| / hbar}
         raise QuadratureError(
             f"the contour integrand decays too slowly for (m, N) = ({m}, {s.N}); "
             "the vertical contour needs N >= 2m-1"
         )
-    eps = s.lam_max + _contour_offset(s)
-    delta = eps - s.lam_max
-    step = 2.0 * math.pi * delta / (_DISC_DECADES + (abs(s.x) + math.pi * (m - 1)) * delta / h)
-    step = min(step, h / 4.0)
 
-    def nodes(T: float) -> int:
+    def step_for(d: float) -> float:
+        d = min(d, h)
+        return min(2.0 * math.pi * d / (_DISC_DECADES + abs(s.x) * d / h), h / 4.0)
+
+    def nodes(T: float, step: float) -> int:
         span = 2.0 * T / step if step > 0 else math.inf
         if not span < MAX_NODES_PER_DIM - 1:
             raise QuadratureError(
@@ -250,30 +251,22 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
             )
         return max(16, int(math.ceil(span)) + 1)
 
-    T = 2.0 * h
-    nodes(T)   # T only grows: refuse now if even the smallest truncation is too fine
-    while True:
-        if T > 200.0 * h * s.N:
-            raise QuadratureError(
-                f"no contour truncation below T = {T:.3g} reached boundary decay {tol:g}; "
-                "the integrand decays too slowly (check the instance scale)"
-            )
-        y = np.linspace(-T, T, _PROBE_NODES)
-        A = _numerator_log(s, eps, y).real
-        # R = sum_i A(y_i) + sum_{i<k} Q(y_i, y_k) on the probe cube, added in that order
-        R = 0.0
-        for i in range(m):
-            R = R + np.expand_dims(A, [a for a in range(m) if a != i])
-        if m > 1:
-            Q = _pair_log(s, y).real
-            for i, k in itertools.combinations(range(m), 2):
-                R = R + np.expand_dims(Q, [a for a in range(m) if a not in (i, k)])
-        R = np.where(np.isfinite(R), R, -np.inf)
-        gmax = float(R.max())
-        # the truncation boundary: some y_i at an end node
-        bmax = max(float(np.take(R, [0, -1], axis=i).max()) for i in range(m))
-        if bmax <= math.log(tol) + gmax:
-            break
-        T *= _GROWTH
-
-    return ContourConfig(epsilon=eps, half_extent=T, nodes_per_dim=nodes(T))
+    nodes(2.0 * h, step_for(h))  # no line allows a coarser step: refuse before the saddles
+    floor = s.lam_max + _contour_offset(s)
+    xs = _column_shifts(s)
+    lines = tuple(max(_saddle(s, xk).real, floor) for xk in xs)
+    T = 0.0
+    for xk, ck in zip(xs, lines):
+        gap = max(0.0, -s.x) * (ck - s.lam_max) / h   # cancellation of a floored line
+        t = 2.0 * h
+        while True:
+            if t > 200.0 * s.N * max(h, ck - s.lam_max):
+                raise QuadratureError(
+                    f"no contour truncation below T = {t:.3g} reached boundary decay {tol:g}; "
+                    "the integrand decays too slowly (check the instance scale)")
+            a = _column_log(s, xk, ck + 1j * np.linspace(-t, t, _PROBE_NODES)).real
+            if max(a[0], a[-1]) <= math.log(_TAIL_MARGIN * tol) + a.max() - gap:
+                break
+            t *= _GROWTH
+        T = max(T, t)
+    return ContourConfig(lines, T, nodes(T, step_for(min(lines) - s.lam_max)))

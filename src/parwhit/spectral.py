@@ -81,19 +81,20 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Truncated vertical-line contour (i*R + epsilon)^m.
+    """Truncated vertical lines Re gamma = lines[k] + i[-T, T], one per column of the quadrature.
 
-    epsilon must clear max(lambda); nodes_per_dim lies in [16, MAX_NODES_PER_DIM];
+    The m lines must clear max(lambda); nodes_per_dim lies in [16, MAX_NODES_PER_DIM];
     the trapezoid step 2T/(nodes-1) must not exceed hbar/4 (validated against a SpectralData by validate_for).
     """
 
-    epsilon: float
+    lines: tuple[float, ...]
     half_extent: float
     nodes_per_dim: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.half_extent) and self.half_extent > 0):
-            raise ConfigError("contour needs finite epsilon and half_extent > 0")
+        object.__setattr__(self, "lines", tuple(map(float, self.lines)))
+        if not (self.lines and all(map(math.isfinite, (*self.lines, self.half_extent))) and self.half_extent > 0):
+            raise ConfigError("contour needs finite lines and half_extent > 0")
         n = self.nodes_per_dim
         if not (isinstance(n, int) and 16 <= n <= MAX_NODES_PER_DIM):
             raise ConfigError(f"nodes_per_dim must be an int in [16, {MAX_NODES_PER_DIM}], "
@@ -104,9 +105,9 @@ class ContourConfig:
         return 2.0 * self.half_extent / (self.nodes_per_dim - 1)
 
     def validate_for(self, s: SpectralData) -> None:
-        if self.epsilon <= s.lam_max:
+        if len(self.lines) != s.m or min(self.lines) <= s.lam_max:
             raise ConfigError(
-                f"contour offset epsilon = {self.epsilon:.6g} must exceed max(lambda) = {s.lam_max:.6g}"
+                f"the contour needs m = {s.m} lines above max(lambda) = {s.lam_max:.6g}, got {self.lines}"
             )
         if self.step > s.hbar / 4 * (1 + 1e-12):
             raise ConfigError(

@@ -180,5 +180,48 @@ PSI_REFERENCE = {
 
 
 def quad_serves(m: int, N: int) -> bool:
-    """Whether the contour quadrature covers the shape (33^m probe, N >= 2m - 1)."""
+    """Whether auto_contour covers the shape: m <= 3, where its error estimate has
+    been checked against the references, and N >= 2m - 1, where the integrand
+    decays on a vertical line."""
     return m <= 3 and N >= 2 * m - 1
+
+
+#: log(2h K_0(2 e^{x/2} / h)) = log Psi^(1,2) at lambda = (0, 0), keyed by (hbar, x),
+#: from mpmath at 40 digits; the small-hbar and large-x end of the m = 1 contour
+BESSEL_LOG_REFERENCE = {
+    (1e-3, 0.0): -2009.7893304599315,
+    (1e-3, 2.0): -5446.85294788399,
+    (1e-3, 8.0): -109208.08933540875,
+    (0.02, 0.0): -105.2969133793265,
+    (0.02, 2.0): -277.62431141780087,
+    (0.02, 8.0): -5467.110695772094,
+    (0.05, 0.0): -43.92432038441084,
+    (0.05, 2.0): -113.15365099242011,
+    (0.05, 8.0): -2189.8472920164495,
+    (0.1, 0.0): -22.88761400802044,
+    (0.1, 2.0): -57.74942776008024,
+    (0.1, 8.0): -1096.844627779828,
+}
+
+#: log Psi (every value positive) at (m, N, lambda, hbar, x) with x >= 2, frozen from
+#: perfbench/reference.py; a line left of the saddle loses these to cancellation
+SADDLE_REFERENCE = {
+    (1, 3, (0.7, 0.0, -0.9), 1.0, 8.0): -43.98405010288445,
+    (1, 2, (0.913, -0.377), 1.0, 8.0): -112.76148953015397,
+    (1, 2, (0.913, -0.377), 1.0, 10.0): -301.4315752317221,
+    (1, 2, (0.913, -0.377), 1.0, 12.0): -812.5003462842017,
+    (1, 2, (0.913, -0.377), 0.1, 2.0): -61.59945968406747,
+    (1, 2, (0.913, -0.377), 0.2, 2.0): -31.46062231263212,
+    (2, 4, (0.913, 0.377, -0.141, -0.887), 1.0, 5.0): -19.289893385849208,
+    (2, 4, (0.913, 0.377, -0.141, -0.887), 1.0, 8.0): -43.38184422670436,
+    (3, 5, (0.62, 0.31, 0.0, -0.33, -0.67), 1.0, 8.0): -38.57621305486576,
+}
+
+#: log Psi (every value positive) at (m, N, lambda, hbar, x), frozen from perfbench/reference.py:
+#: the benchmark rows whose error is nearest their estimate, all round-off on a floored line
+#: at x ~ -5 (cli-sweep seeds 828 and 1285, quad seed 813)
+ROUND_OFF_REFERENCE = {
+    (1, 3, (0.7044, -0.009, -0.9091), 1.3, -5.0343): 3.7280992181363786,
+    (1, 3, (0.7088, 0.0053, -0.894), 1.3, -5.0281): 3.7485432243744943,
+    (1, 3, (1.1007, 0.3573, -0.4421), 1.0, -5.0102): 5.526760590412704,
+}

@@ -160,7 +160,7 @@ def test_criterion_7_symmetry_and_covariance():
         # translation covariance
         delta = 0.3
         st = SpectralData(m=m, N=N, lam=tuple(v + delta for v in lam), hbar=1.0, x=x)
-        ct = ContourConfig(c.epsilon + delta, c.half_extent, c.nodes_per_dim)
+        ct = ContourConfig(tuple(v + delta for v in c.lines), c.half_extent, c.nodes_per_dim)
         qt = eval_mb(st, ct, max_rel_err=None).value
         expected = math.exp(-m * delta * x)
         assert abs((qt / qa).to_complex() / expected - 1.0) <= 1e-8

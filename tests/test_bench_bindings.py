@@ -8,6 +8,7 @@ perfbench/ is written.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -67,3 +68,18 @@ def test_cli_import_loads_scipy_special():
                        env=env, timeout=120)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == "True"
+
+
+def test_estimates_script_checks_two_seeds():
+    # scripts/estimates.py runs one round per seed through perfbench's own checks;
+    # quad seed 813 holds a row whose error is round-off within 1.5x of the old estimate
+    p = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "estimates.py"),
+                        "--workload", "quad", "--seeds", "812-813"],
+                       capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                       timeout=300)
+    assert p.returncode == 0, p.stdout + p.stderr
+    lines = p.stdout.splitlines()
+    assert json.loads(lines[-1]) == {"workload": "quad", "seeds": "812-813", "served_mb": 20,
+                                     "unexpected": 0}
+    (smallest,) = [line for line in lines if line.startswith("smallest est/true")]
+    assert float(smallest.split()[3].rstrip(",")) >= 5.0

@@ -55,7 +55,7 @@ class TestRecord:
         for rec in records:
             assert set(rec) == {"inputs", "method", "value", "error_estimate", "wall_time",
                                 "library_version", "diagnostics"}
-        assert records[0]["diagnostics"] == {}
+        assert set(records[0]["diagnostics"]) == {"lines", "half_extent", "nodes_per_dim"}
 
     @pytest.mark.parametrize("argv", [("eval", "--method", "both"), ("asympt",), ("xval",)],
                              ids=["eval", "asympt", "xval"])
@@ -79,6 +79,28 @@ class TestEval:
         assert rec["value"]["re"] == pytest.approx(BESSEL_REFERENCE[0.0], rel=1e-8)
         assert rec["method"] == "mb"
         assert "log_mag" in rec["value"] and "phase" in rec["value"]
+
+    @pytest.mark.parametrize("hbar,re,log_mag", [("0.05", 8.39286110e-20, None),
+                                                 ("1e-3", None, -2009.78933046)])
+    def test_small_hbar_default_instance(self, capsys, hbar, re, log_mag):
+        # 2h K_0(2/h): the line through the saddle sees no e^{-2/h} cancellation
+        code, out = run(capsys, "eval", "--hbar", hbar)
+        assert code == EXIT_OK
+        value = json.loads(out)["records"][0]["value"]
+        if re is not None:
+            assert value["re"] == pytest.approx(re, rel=1e-9)
+        else:
+            assert "re" not in value and value["log_mag"] == pytest.approx(log_mag, abs=1e-8)
+
+    def test_mb_records_carry_the_contour(self, capsys):
+        from parwhit import SpectralData, auto_contour
+        s = SpectralData(m=2, N=4, lam=(0.9, 0.4, -0.3, -1.15), hbar=1.0, x=-4.0)
+        c = auto_contour(s, 1e-9)
+        code, out = run(capsys, "eval", "--m", "2", "--N", "4",
+                        "--lambda", "0.9,0.4,-0.3,-1.15", "--x", "-4")
+        assert code == EXIT_OK
+        assert json.loads(out)["records"][0]["diagnostics"] == {
+            "lines": list(c.lines), "half_extent": c.half_extent, "nodes_per_dim": c.nodes_per_dim}
 
     def test_residue_domain_error_exit3(self, capsys):
         code, out = run(capsys, "eval", "--m", "1", "--N", "2", "--lambda", "0.5,0",
@@ -112,7 +134,7 @@ class TestEval:
             assert code == EXIT_OK
             by_method = {r["method"]: r for r in json.loads(out)["records"]}
             assert by_method["residue"]["diagnostics"] == want
-            assert by_method["mb"]["diagnostics"] == {}
+            assert set(by_method["mb"]["diagnostics"]) == {"lines", "half_extent", "nodes_per_dim"}
 
     def test_config_error_exit2(self, capsys):
         code, _ = run(capsys, "eval", "--m", "3", "--N", "2")
@@ -120,7 +142,7 @@ class TestEval:
 
     @pytest.mark.parametrize("m,N,lam", [
         (3, 4, "0.9,0.3,-0.4,-1.05"),               # N < 2m - 1: the integrand decays too slowly
-        (4, 6, "1.31,0.86,0.37,-0.08,-0.61,-1.17"),  # m > 3: beyond the contour probe
+        (4, 6, "1.31,0.86,0.37,-0.08,-0.61,-1.17"),  # m > 3: beyond the validated estimate
     ])
     def test_shape_the_quadrature_does_not_serve_exit3(self, capsys, m, N, lam):
         code, out = run(capsys, "eval", "--m", str(m), "--N", str(N), "--lambda", lam,
@@ -135,6 +157,14 @@ class TestEval:
                         "--x", "1e308")
         assert code == EXIT_DOMAIN
         assert "cap" in json.loads(out)["error"]["message"]
+
+    def test_saddle_beyond_reach_exit3(self, capsys):
+        # at x = 100 the saddle lies near e^50, where log W holds terms of about e^55
+        code, out = run(capsys, "eval", "--m", "1", "--N", "2", "--lambda", "0.3,-0.2",
+                        "--x", "100")
+        assert code == EXIT_DOMAIN
+        message = json.loads(out)["error"]["message"]
+        assert "saddle" in message and "reach" in message and "estimate" not in message
 
 
 class TestAsympt:
