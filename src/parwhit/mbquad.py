@@ -13,9 +13,10 @@ on its own vertical line, through its saddle (the root of
 sum_j psi((sigma - lambda_j)/hbar) + N log hbar = x_k) or at the floor
 max(lambda) + _contour_offset; it is one trapezoid sum, scaled in log space,
 and det M comes from slogdet.  On one common line this is exactly the m-fold
-tensor trapezoid sum.  The error estimate adds, per column, the tail and the
-aliasing, weighted by the determinant's sensitivity to the column, and the
-round-off of each node's terms of log W, weighted by the node's share
+tensor trapezoid sum.  The error estimate adds, per column, the tail, weighted
+by the determinant's sensitivity to the column; the aliasing, as half the
+change of log det M from the trapezoid to the midpoint rule on the same line;
+and the round-off of each node's terms of log W, weighted by the node's share
 G[y] F[y] M^-1[:,k] of log det M.
 """
 
@@ -47,6 +48,9 @@ _GROWTH = 1.5
 
 #: margin of the truncation probe below tol: an outer column decays only like e^{-pi |t| / 2}
 _TAIL_MARGIN = 1e-4
+
+#: margin of the aliasing term over half the change from the trapezoid to the midpoint rule
+_ALIAS_MARGIN = 10.0
 
 #: round-off of W per unit size of the terms of log W, added over the nodes as if in phase:
 #: 8 x 2e-16, because at 2e-16 the (1,2) rows at x = -8 kept only 3.1x over their error
@@ -119,25 +123,29 @@ def eval_mb(
     y = np.linspace(-c.half_extent, c.half_extent, n)
     logw = np.full(n, math.log(c.step / (2.0 * math.pi)))
     logw[[0, -1]] -= math.log(2.0)
-    coarse = np.where(np.arange(n) % 2, 0.0, 2.0)    # the trapezoid at twice the step
     # rows (-i gamma / S)^i stay within [0, 1]; det M carries S^P
     S = max(abs(complex(ck, c.half_extent)) for ck in c.lines)
-    M, M2 = np.empty((2, m, m), dtype=complex)
-    log_scale, sums, tails = np.empty((3, m))
+    M, Mid = np.empty((2, m, m), dtype=complex)
+    log_scale, tails = np.empty((2, m))
     cols = []
     for k, (xk, ck) in enumerate(zip(_column_shifts(s), c.lines)):
         g = ck + 1j * y
         A = _column_log(s, xk, g) + logw
         log_scale[k] = A.real.max()
         G = np.exp(A - log_scale[k])
-        F = ((y - 1j * ck) / S)[:, None] ** np.arange(m)
-        M[:, k], M2[:, k] = G @ F, (coarse * G) @ F
+        F = (-1j * g / S)[:, None] ** np.arange(m)
+        M[:, k] = G @ F
+        # the midpoint rule on the same line, whose aliasing error is the trapezoid's with the
+        # opposite sign (Poisson summation), so that half their difference is the trapezoid's
+        gm = g[:-1] + 0.5j * c.step
+        Gm = np.exp(_column_log(s, xk, gm) + logw[1] - log_scale[k])
+        Mid[:, k] = Gm @ (-1j * gm / S)[:, None] ** np.arange(m)
         absF = np.linalg.norm(F, axis=1) * np.abs(G)
         # the end nodes carry half weight; beyond them the nodes decay by q each
         end = absF[[0, -1]]
         q = np.divide(2.0 * end, absF[[1, -2]], out=np.zeros(2), where=end > 0)
         more = np.divide(1.0 + q, 1.0 - q, out=np.full(2, np.inf), where=q < 1.0)
-        sums[k], tails[k] = absF.sum(), end @ np.maximum(2.0 * h / c.step, more)
+        tails[k] = end @ np.maximum(2.0 * h / c.step, more)
         # per node, the size of the terms of log W (x_k gamma / hbar, w log hbar + loggamma(w)):
         # their round-off, and the node's own, is a relative error of W of eps times that
         w = np.abs(g - s.lam_array[:, None]) / h
@@ -156,14 +164,7 @@ def eval_mb(
     inv = np.linalg.inv(M)
     sens = np.linalg.norm(inv, axis=1)
     tail_rel = float(sens @ tails)
-    # aliasing: a pole at distance d from the line puts e^{-pi d/step} of its image at
-    # twice the step into the image at the step, along the same vector dM[:,k], whose
-    # effect on det M is (M^-1 dM)_kk; ten times that.  An outer column whose mass lies
-    # far out on the line is not resolved at twice the step: the margin bound caps it.
-    d = np.minimum(np.asarray(c.lines) - s.lam_max, h)
-    measured = 10.0 * np.abs(np.einsum("ki,ik->k", inv, M2 - M)) * np.exp(-math.pi * d / c.step)
-    bound = 300.0 * np.exp(-(2 * math.pi / c.step) * d + (max(s.x, 0.0) / h) * d)
-    alias_rel = float(np.minimum(measured, sens * bound * np.sqrt(sums * np.linalg.norm(M, axis=0))).sum())
+    alias_rel = _ALIAS_MARGIN * 0.5 * float(np.abs(np.einsum("ki,ik->k", inv, Mid - M)).sum())
     # round-off: a relative error e of node y's term moves log det M by e G[y] F[y] M^-1[:,k]
     noise_rel = _ROUND_OFF * sum(float(np.abs(G * (F @ inv[k])) @ size)
                                  for k, (G, F, size) in enumerate(cols))
