@@ -4,7 +4,8 @@ perfbench/tracing.py rebinds public functions (and scipy's loggamma where
 gammafns calls it as `_loggamma`) in the loaded parwhit modules, and
 perfbench/worker.py calls the library through module attributes.  Both are
 loaded by path and run on each workload's reduced call set; nothing under
-perfbench/ is written.
+perfbench/ is written.  scripts/estimates.py loads run.py and worker.py the
+same way and is run on two seeds.
 """
 
 import importlib.util

@@ -181,6 +181,14 @@ class TestEvalMB:
         with pytest.raises(ConfigError, match="m = 2 lines"):     # one line per column
             eval_mb(s2, ContourConfig(lines=(2.0,), half_extent=8.0, nodes_per_dim=129))
 
+    @pytest.mark.parametrize("line", [0.3, 0.5, 0.8])
+    def test_aliasing_is_measured_by_the_midpoint_rule(self, line):
+        # a line at distance d from the poles of gamma1 at 0 aliases like e^{-2 pi d / step};
+        # half the trapezoid-to-midpoint change is that error, and the estimate is 10x it
+        r = eval_mb(bessel_instance(), ContourConfig((line,), 16.0, 129), max_rel_err=None)
+        err = abs(r.value.to_complex() / BESSEL_REFERENCE[0.0] - 1.0)
+        assert 1e-8 < err <= r.error_estimate <= 20.0 * err
+
     def test_m4_on_a_given_contour_matches_the_series(self):
         # the Andreief determinant serves every m; only auto_contour stops at m = 3
         lam = (1.31, 0.86, 0.37, -0.08, -0.61, -1.17, -1.52, -1.93)
