@@ -28,15 +28,21 @@ def _check_distinct(gamma: Sequence[complex]) -> list[complex]:
     return g
 
 
-def factor(g: complex, row: Sequence[complex], off: complex = 0.0, skip: int | None = None) -> complex:
+def factor(g, row, off: complex = 0.0, skip: int | None = None):
     """prod_{k != skip} (g - row_k + off) over one row; skip is 1-based, None skips nothing.
 
-    A product of j factors written as prod (row_k - g + off) is (-1)^j factor(g, row, -off, skip).
+    g is a complex number and row a sequence of them, or g is an (S,) array
+    over a batch and row the (n, S) array of its rows; an empty product is
+    then an (S,) array of ones.  A product of j factors written as prod (row_k - g + off) is
+    (-1)^j factor(g, row, -off, skip).
     """
-    out = 1.0 + 0j
+    out = None
     for k, v in enumerate(row, start=1):
         if k != skip:
-            out *= g - v + off
+            d = g - v + off
+            out = d if out is None else out * d
+    if out is None:
+        return np.ones(len(g), dtype=complex) if isinstance(g, np.ndarray) else 1.0 + 0j
     return out
 
 

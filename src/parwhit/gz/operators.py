@@ -8,17 +8,27 @@ summing equal keys as they are formed; sums and differences merge keys the
 same way.  That is all the operator algebra needed to check identities
 numerically; no symbolic normal form is kept.
 
+Batches.  An operator is evaluated on a batch of S arrays at once (a
+TriangularArray holds S arrays, one per column; a single array is a batch of
+one), and a symbol maps each shift to an (S,) complex array.  All arithmetic
+on a batch is elementwise numpy on arrays, never on 0-d numpy scalars, never
+in place, and sums run left to right (no numpy reduction), so every array
+gets the same value bit for bit whatever batch it is evaluated in: a 0-d
+product, an in-place product on a batch of one and numpy's pairwise sums
+each round differently.
+
 Memo rule.  Each operator records the contiguous range of rows its
 coefficients read (`rows`): a generator reads two rows, E_{n,N} reads rows
 n..N, a product or sum reads the hull of its operands' ranges, and an
 operator built from a bare symbol reads every row.  A symbol depends only on
 those rows, so `apply` owns one memo for the length of the call and every
-operator it reaches looks its symbol up there under (operator, its rows of
-the array), computing it only on a miss.  A product looks its right operand
-up at each of the left operand's shifts by moving only the operand's own
-rows; the shifted array is built only on a miss.  Inside a nested commutator
-the same generator is reached at many shifted arrays that agree on its two
-rows; each distinct input is computed once.  Symbols are therefore read-only
+operator it reaches looks its symbol up there under (operator, the integer
+shift from the applied batch restricted to its rows), computing it only on
+a miss, on the batch shifted by that move.  A product looks its right
+operand up at each of the left operand's shifts by adding that shift to its
+own move, so no array is built for a hit.  Inside a nested commutator the
+same generator is reached at many shifts that agree on its two rows; each
+distinct move is computed once per batch.  Symbols are therefore read-only
 values: nothing mutates a dict a symbol returned.
 
 The generator realization (E_kk multiplication; E_{n,n+1} and E_{n+1,n}
@@ -47,18 +57,20 @@ import itertools
 import operator
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..gammafns import _checked_hbar
-from .arrays import TriangularArray, moved_rows
+from .arrays import TriangularArray
 from .combin import factor
 
 __all__ = ["DifferenceOperator", "measure_ratio", "gen", "commutator",
            "build_Eij", "build_EnN", "twist", "adjoint", "coxeter_cycle"]
 
-Coeff = Callable[[TriangularArray], complex]
+Coeff = Callable[[TriangularArray], np.ndarray]
 ShiftKey = tuple[tuple[tuple[int, int], int], ...]
-Symbol = Callable[[TriangularArray, dict], Mapping[ShiftKey, complex]]
-TestFn = Callable[[TriangularArray], complex]
+Symbol = Callable[[TriangularArray, dict, ShiftKey], Mapping[ShiftKey, np.ndarray]]
+TestFn = Callable[[TriangularArray], np.ndarray]
 Rows = tuple[int, "int | None"]      # first and last row read, 1-based; None reads to the end
 
 
@@ -80,12 +92,12 @@ def _hull(a: Rows, b: Rows) -> Rows:
 class DifferenceOperator:
     """sum_sigma c_sigma(gamma) f(gamma + hbar*sigma) over distinct shifts, at a fixed hbar.
 
-    `shifts` lists the distinct shift keys; `symbol(arr, memo)` returns a
-    fresh dict {key: c_key(arr)} over exactly those keys, reading the
-    operators it was built from through `coeffs(arr, memo, move)`.  `rows`
-    is the range of rows the coefficients read (every row by default).
-    `dagger`, when given, builds the adjoint from the parts the operator was
-    made of.
+    `shifts` lists the distinct shift keys; `symbol(arr, memo, move)` returns
+    a fresh dict {key: c_key} over exactly those keys, each an (S,) array
+    over the batch arr shifted by the key `move`, reading the operators it
+    was built from through `coeffs(arr, memo, move)`.  `rows` is the range
+    of rows the coefficients read (every row by default).  `dagger`, when
+    given, builds the adjoint from the parts the operator was made of.
     """
 
     def __init__(self, hbar: float, shifts: Iterable[ShiftKey], symbol: Symbol,
@@ -95,45 +107,47 @@ class DifferenceOperator:
         self.shifts = tuple(shifts)
         self.symbol = symbol
         self.rows = rows
-        self._read = slice(rows[0] - 1, rows[1])
+        self._last = float("inf") if rows[1] is None else rows[1]
         self._dagger = dagger
 
     def __len__(self) -> int:
         return len(self.shifts)
 
-    def coeffs(self, arr: TriangularArray, memo: dict,
-               move: Mapping[tuple[int, int], int] | None = None) -> Mapping[ShiftKey, complex]:
-        """The symbol at arr.shifted(move), computed once per memo for each content of its rows.
+    def coeffs(self, arr: TriangularArray, memo: dict, move: ShiftKey = ()) -> Mapping[ShiftKey, np.ndarray]:
+        """The symbol at arr shifted by move, computed once per memo for each move of its rows.
 
-        Every position of move must lie in the operator's rows.  The memo key
-        is the moved slice of those rows; the shifted array is built only on
-        a miss.
+        arr is the batch the memo belongs to.  The memo key is the operator
+        with the part of move inside its rows; the shifted batch is built
+        only on a miss.
         """
-        rows = arr.rows[self._read]
-        if move:
-            rows = moved_rows(rows, move, self.hbar, self.rows[0])
-        key = (self, rows)
+        first, last = self.rows[0], self._last
+        move = tuple(entry for entry in move if first <= entry[0][0] <= last)
+        key = (self, move)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = self.symbol(arr.shifted(move, self.hbar) if move else arr, memo)
+            out = memo[key] = self.symbol(arr, memo, move)
         return out
 
-    def apply(self, f: TestFn, arr: TriangularArray, values: dict | None = None) -> complex:
-        """Evaluate (A f)(arr), skipping shifts whose coefficient is exactly zero.
+    def apply(self, f: TestFn, arr: TriangularArray, values: dict | None = None) -> np.ndarray:
+        """(A f) on each array of the batch arr, as an (S,) array.
 
-        f is evaluated once per shift key and kept in values; operators of the
-        same hbar applied at the same arr may share one values dict.
+        f maps a batch to its (S,) values.  It is evaluated on the whole
+        shifted batch once per shift key and kept in values; operators of the
+        same hbar applied to the same batch may share one values dict.  A
+        key whose coefficient is exactly zero on every array is skipped, and
+        a zero coefficient adds nothing to its array's value.
         """
         h = self.hbar
         if values is None:
             values = {}
-        out = 0j
-        for key, c in self.symbol(arr, {}).items():
-            if c != 0:
+        out = np.zeros(len(arr), dtype=complex)
+        for key, c in self.symbol(arr, {}, ()).items():
+            nonzero = c != 0
+            if nonzero.any():
                 v = values.get(key)
                 if v is None:
-                    v = values[key] = f(arr.shifted(dict(key), h))
-                out += c * v
+                    v = values[key] = f(arr.shifted(key, h))
+                out = np.where(nonzero, out + c * v, out)
         return out
 
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
@@ -142,16 +156,12 @@ class DifferenceOperator:
             raise ConfigError("cannot compose operators with different hbar")
         h = self.hbar
         sums = {ka: {kb: _add_keys(ka, kb) for kb in other.shifts} for ka in self.shifts}
-        # other reads only its own rows, so each shift of self moves only those
-        first, last = other.rows
-        moves = {ka: {(n, i): k for (n, i), k in ka if first <= n and (last is None or n <= last)}
-                 for ka in self.shifts}
 
-        def symbol(arr, memo):
-            out: dict[ShiftKey, complex] = {}
-            for ka, ca in self.coeffs(arr, memo).items():
+        def symbol(arr, memo, move):
+            out: dict[ShiftKey, np.ndarray] = {}
+            for ka, ca in self.coeffs(arr, memo, move).items():
                 row = sums[ka]
-                for kb, cb in other.coeffs(arr, memo, moves[ka]).items():
+                for kb, cb in other.coeffs(arr, memo, _add_keys(move, ka) if move else ka).items():
                     key = row[kb]
                     out[key] = out.get(key, 0j) + ca * cb
             return out
@@ -168,9 +178,9 @@ class DifferenceOperator:
         if abs(self.hbar - other.hbar) > 0:
             raise ConfigError("cannot add operators with different hbar")
 
-        def symbol(arr, memo):
-            out = dict(self.coeffs(arr, memo))
-            for key, c in other.coeffs(arr, memo).items():
+        def symbol(arr, memo, move):
+            out = dict(self.coeffs(arr, memo, move))
+            for key, c in other.coeffs(arr, memo, move).items():
                 out[key] = combine(out.get(key, 0j), c)
             return out
 
@@ -200,8 +210,11 @@ def _from_terms(h: float, terms: list[tuple[ShiftKey, Coeff]], rows: Rows) -> Di
         moved = [pos[0] for key, _ in terms for pos, _k in key]
         return _from_terms(h, flipped, _hull(rows, (min(moved), max(moved))) if moved else rows)
 
-    return DifferenceOperator(h, [key for key, _ in terms],
-                              lambda arr, memo: {key: c(arr) for key, c in terms}, dagger, rows)
+    def symbol(arr, memo, move):
+        at = arr.shifted(move, h)
+        return {key: c(at) for key, c in terms}
+
+    return DifferenceOperator(h, [key for key, _ in terms], symbol, dagger, rows)
 
 
 def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
@@ -219,7 +232,7 @@ def gen(kind: str, n: int, N: int, hbar: float) -> DifferenceOperator:
         def c(arr, n=n):
             s = sum(arr.row(n))
             if n > 1:
-                s -= sum(arr.row(n - 1))
+                s = s - sum(arr.row(n - 1))
             return s / h
 
         return _from_terms(h, [((), c)], (max(n - 1, 1), n))
@@ -280,7 +293,8 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
               itertools.product(*[range(1, N - r + 1) for r in range(1, N - n + 1)])]
     every_step = dict.fromkeys(step for chain in chains for step in chain)
 
-    def symbol(arr, memo):
+    def symbol(arr, memo, move):
+        arr = arr.shifted(move, h)
         # one denominator per (level, index), one ratio per step, shared by every chain
         dens, table = {}, {}
         for lvl, ir, prev in every_step:
@@ -293,7 +307,7 @@ def build_EnN(n: int, N: int, hbar: float) -> DifferenceOperator:
         for key, chain in zip(keys, chains):
             val = -1.0 / h
             for step in chain:
-                val *= table[step]
+                val = val * table[step]
             out[key] = val
         return out
 
@@ -344,7 +358,7 @@ def measure_ratio(arr: TriangularArray, shift: Mapping[tuple[int, int], int], hb
                 # Gamma(v+d)/Gamma(v) as a Pochhammer product; mu carries 1/Gamma
                 p = 1.0 + 0j
                 for t in (range(d) if d > 0 else range(-1, d - 1, -1)):
-                    p *= v + t
+                    p = p * (v + t)
                 out = out / p if d > 0 else out * p
     return out
 
@@ -361,5 +375,5 @@ def adjoint(a: DifferenceOperator) -> DifferenceOperator:
     """
     if a._dagger is not None:
         return a._dagger()
-    terms = [(key, lambda arr, key=key: a.symbol(arr, {})[key]) for key in a.shifts]
+    terms = [(key, lambda arr, key=key: a.symbol(arr, {}, ())[key]) for key in a.shifts]
     return _from_terms(a.hbar, terms, a.rows)._dagger()

@@ -21,7 +21,6 @@ on the support, and the final interpolation constant (-1)^m / hbar.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -60,17 +59,19 @@ def _verified_hbar(hbar: float | None, rng: np.random.Generator) -> float:
 
 
 def _block_args(arr: TriangularArray, n: int, p: int, h: float) -> np.ndarray:
-    """gamma_{n-1,a} - gamma_{n,b} + hbar/2 for a <= p, b <= n, row-major in (a, b)."""
-    return (np.subtract.outer(arr.row(n - 1)[:p], arr.row(n)) + h / 2).ravel()
+    """gamma_{n-1,a} - gamma_{n,b} + hbar/2 for a <= p, b <= n, one line per (a, b) in
+    row-major order, one column per array of the batch."""
+    return (arr.row(n - 1)[:p, None] - arr.row(n)[None]).reshape(p * n, len(arr)) + h / 2
 
 
-def _log_block(arr: TriangularArray, n: int, p: int, h: float) -> complex:
-    """log prod_{a<=p, b<=n} gamma1(gamma_{n-1,a} - gamma_{n,b} + hbar/2)."""
-    return complex(log_gamma1(_block_args(arr, n, p, h), h).sum())
+def _log_block(arr: TriangularArray, n: int, p: int, h: float) -> np.ndarray:
+    """log prod_{a<=p, b<=n} gamma1(gamma_{n-1,a} - gamma_{n,b} + hbar/2), per array, summed
+    left to right so that an array's value does not depend on its batch."""
+    return np.add.accumulate(log_gamma1(_block_args(arr, n, p, h), h))[-1]
 
 
-def psi_L(m: int, arr: TriangularArray, hbar: float, perturb: float = 0.0) -> complex:
-    """The left Whittaker vector at an array (rows m-1, m and the phase row 1).
+def psi_L(m: int, arr: TriangularArray, hbar: float, perturb: float = 0.0) -> np.ndarray:
+    """The left Whittaker vector on each array of a batch (rows m-1, m and the phase row 1).
 
     perturb adds a constant to the first reciprocal-gamma argument; it exists
     as a sensitivity hook for the verification harness and defaults to off.
@@ -79,13 +80,14 @@ def psi_L(m: int, arr: TriangularArray, hbar: float, perturb: float = 0.0) -> co
         raise ConfigError(f"psi_L needs 2 <= m <= N, got m={m}, N={arr.N}")
     h = float(hbar)
     z = _block_args(arr, m, m - 1, h)
-    z[0] += perturb
-    if on_pole_lattice(z / h).any():
-        return 0j          # zero of the reciprocal gamma
-    try:
-        return cmath.exp(1j * math.pi * arr.gamma(1, 1) / h - complex(log_gamma1(z, h).sum()))
-    except OverflowError as exc:
-        raise DomainError(f"psi_L leaves the double range at hbar = {h:g}") from exc
+    z[0] = z[0] + perturb
+    zero = on_pole_lattice(z / h).any(axis=0)      # a zero of the reciprocal gamma
+    with np.errstate(all="ignore"):
+        val = np.exp(1j * math.pi * arr.gamma(1, 1) / h - np.add.accumulate(log_gamma1(z, h))[-1])
+    if not np.isfinite(val[~zero]).all():
+        raise DomainError(f"psi_L leaves the double range at hbar = {h:g}")
+    val[zero] = 0
+    return val
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,6 @@ class LeftWhittakerReport:
         return {"suite": "left-whittaker", **asdict(self)}
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
                           hbar: float | None = None, perturb: float = 0.0) -> LeftWhittakerReport:
     """Check (E^w_{k+1,k})^dag psi_L = s_k * hbar^{-1} psi_L for all k, s_k in {+1,-1}.
@@ -117,6 +115,9 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
     w is the Coxeter cycle sending 1 -> 2 -> ... -> m -> 1; the eigen-ratio
     is measured pointwise at `samples` random non-singular arrays and must be
     a sample-independent constant of modulus 1 (times 1/hbar) within VERIFY_TOL.
+    The arrays are drawn as one batch; an array where psi_L vanishes or is
+    tiny, or where the operator's value is not finite, is dropped and only
+    the shortfall is drawn again, at most _MAX_RESAMPLE arrays in all.
     """
     if not 2 <= m < N:
         raise ConfigError(f"need 2 <= m < N, got m={m}, N={N}")
@@ -129,7 +130,7 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
     for a, wa in enumerate(w, start=1):
         winv[wa - 1] = a
 
-    def psi(arr: TriangularArray) -> complex:
+    def psi(arr: TriangularArray) -> np.ndarray:
         return psi_L(m, arr, h, perturb=perturb)
 
     signs, labels, deviations = [], [], []
@@ -137,28 +138,26 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
         op = adjoint(twist((k + 1, k), w, N, h))
         labels.append((winv[k], winv[k - 1]))
         ratios = []
-        tries = 0
-        while len(ratios) < samples:
-            tries += 1
-            if tries > _MAX_RESAMPLE + samples:
+        kept = drawn = 0
+        while kept < samples:
+            short = samples - kept
+            if drawn + short > _MAX_RESAMPLE + samples:
                 raise VerificationError(f"k={k}: exhausted resampling for non-singular arrays")
-            arr = random_array(N, rng)
+            drawn += short
+            arr = random_array(N, rng, short)
             denom = psi(arr)
-            if denom == 0 or not _finite(denom) or abs(denom) < 1e-250:
-                continue
-            try:
+            usable = np.abs(denom) >= 1e-250     # neither a zero of psi_L nor an underflow
+            arr, denom = arr[usable], denom[usable]
+            with np.errstate(all="ignore"):      # a singular coefficient drops its array
                 val = op.apply(psi, arr)
-            except ZeroDivisionError:
-                continue
-            if not _finite(val):
-                continue
-            ratios.append(val / (denom / h))
-        mean = sum(ratios) / len(ratios)
-        sign = 1 if mean.real >= 0 else -1
-        dev = max(abs(r - sign) for r in ratios)
-        dev = max(dev, max(abs(abs(r) - 1.0) for r in ratios))
+            finite = np.isfinite(val)
+            ratios.append(val[finite] / (denom[finite] / h))
+            kept += int(finite.sum())
+        ratios = np.concatenate(ratios)
+        sign = 1 if ratios.sum().real >= 0 else -1
+        dev = max(np.abs(ratios - sign).max(), np.abs(np.abs(ratios) - 1.0).max())
         signs.append(sign)
-        deviations.append(dev)
+        deviations.append(float(dev))
     max_dev = max(deviations)
     return LeftWhittakerReport(
         m=m, N=N, hbar=h, samples=samples, seed=seed, tol=VERIFY_TOL,
@@ -184,13 +183,17 @@ class RightSupportReport:
         return {"suite": "right-support", **asdict(self)}
 
 
-def _near_pole(arr: TriangularArray, m: int, N: int, h: float, margin: float = 0.05) -> bool:
-    """True when some gamma1 argument of the two product blocks, or that argument
-    shifted down by hbar, is close to a pole."""
+def _near_pole(arr: TriangularArray, m: int, N: int, h: float, margin: float = 0.05) -> np.ndarray:
+    """Per array: whether some gamma1 argument of the two product blocks, or that
+    argument shifted down by hbar, is close to a pole."""
     z = np.concatenate([_block_args(arr, N, m, h), _block_args(arr, m, m - 1, h)])
     w = np.concatenate([z, z - h]) / h
     k = np.round(w.real)
-    return bool(((k <= 1) & (np.abs(w - k) < margin)).any())
+    return ((k <= 1) & (np.abs(w - k) < margin)).any(axis=0)
+
+
+def _worst(devs: dict, name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
+    devs[name] = max(devs[name], float(np.abs(lhs / rhs - 1).max()))
 
 
 def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int = 0,
@@ -209,6 +212,10 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
     * the final interpolation constant: -(1/hbar) * sum_i prod_r
       (gamma_{m-1,r} - gamma_{m,i} - hbar/2) / prod_{k != i} (gamma_{m,i} -
       gamma_{m,k}) equals (-1)^m / hbar.
+
+    The samples are checked as one batch.  A draw whose free row has two
+    entries closer than 0.2 is redrawn at once; a drawn array near a pole is
+    dropped and only the shortfall is drawn again.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -222,16 +229,20 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
     done = 0
     tries = 0
     while done < samples:
-        tries += 1
-        if tries > samples + _MAX_RESAMPLE:
-            raise VerificationError("exhausted resampling for non-singular support arrays")
-        t = rng.uniform(-1.5, 1.5, size=m) + 1j * rng.uniform(-1.5, 1.5, size=m)
-        gaps = [abs(t[a] - t[b]) for a in range(m) for b in range(a + 1, m)]
-        if gaps and min(gaps) < 0.2:
-            continue
-        lam = rng.uniform(-2.0, 2.0, size=N)
-        arr = sc.build(tuple(t), tuple(lam))
-        if _near_pole(arr, m, N, h):
+        free, lams = [], []
+        while len(free) < samples - done:
+            tries += 1
+            if tries > samples + _MAX_RESAMPLE:
+                raise VerificationError("exhausted resampling for non-singular support arrays")
+            t = rng.uniform(-1.5, 1.5, size=m) + 1j * rng.uniform(-1.5, 1.5, size=m)
+            gaps = [abs(t[a] - t[b]) for a in range(m) for b in range(a + 1, m)]
+            if gaps and min(gaps) < 0.2:
+                continue
+            free.append(t)
+            lams.append(rng.uniform(-2.0, 2.0, size=N))
+        arr = sc.build(np.array(free).T, np.array(lams).T)
+        arr = arr[~_near_pole(arr, m, N, h)]
+        if not len(arr):
             continue
 
         base_outer = _log_block(arr, N, m, h)
@@ -242,37 +253,34 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
         for i in range(1, m + 1):
             g = arr.gamma(m, i)
             # (a1) outer block, shift gamma_{N-1,i} down by hbar
-            lhs = cmath.exp(_log_block(arr.shifted({(N - 1, i): -1}, h), N, m, h) - base_outer)
-            rhs = 1.0 / factor(arr.gamma(N - 1, i), arr.row(N), -h / 2)
-            devs["outer_shift"] = max(devs["outer_shift"], abs(lhs / rhs - 1))
+            lhs = np.exp(_log_block(arr.shifted({(N - 1, i): -1}, h), N, m, h) - base_outer)
+            _worst(devs, "outer_shift", lhs, 1.0 / factor(arr.gamma(N - 1, i), arr.row(N), -h / 2))
 
             # (a2) inner block, shift gamma_{m,i} down by hbar
-            lhs = cmath.exp(_log_block(arr.shifted({(m, i): -1}, h), m, m - 1, h) - base_inner)
-            rhs = sgn * factor(g, rm1, -h / 2)
-            devs["inner_shift"] = max(devs["inner_shift"], abs(lhs / rhs - 1))
+            lhs = np.exp(_log_block(arr.shifted({(m, i): -1}, h), m, m - 1, h) - base_inner)
+            _worst(devs, "inner_shift", lhs, sgn * factor(g, rm1, -h / 2))
 
             # (a3) inner block, paired shift of gamma_{m-1,j} and gamma_{m,i}
             for j in range(1, m):
                 sh = arr.shifted({(m, i): -1, (m - 1, j): -1}, h)
-                lhs = cmath.exp(_log_block(sh, m, m - 1, h) - base_inner)
+                lhs = np.exp(_log_block(sh, m, m - 1, h) - base_inner)
                 rhs = -sgn * factor(g, rm1, -h / 2, j) / factor(arr.gamma(m - 1, j), rm, -h / 2, i)
-                devs["double_shift"] = max(devs["double_shift"], abs(lhs / rhs - 1))
+                _worst(devs, "double_shift", lhs, rhs)
 
         # (b) numerator collapse on the support, rows m..N-2 against the row below
         for a in range(1, N - m):
             row = arr.row(N - a)
             for i in range(1, m + 1):
-                lhs = factor(arr.gamma(N - a - 1, i), row, -h / 2, i)
-                rhs = factor(row[i - 1], row, -h, i)
-                devs["support_congruence"] = max(devs["support_congruence"], abs(lhs / rhs - 1))
+                _worst(devs, "support_congruence", factor(arr.gamma(N - a - 1, i), row, -h / 2, i),
+                       factor(row[i - 1], row, -h, i))
 
         # (c) the final interpolation constant
         got = -sgn * sum(factor(g, rm1, h / 2) / factor(g, rm, skip=i)
                          for i, g in enumerate(rm, start=1)) / h
         expect = ((-1) ** m) / h
-        devs["final_constant"] = max(devs["final_constant"], abs(got - expect) * h)
-        const_sign = 1 if got.real * h >= 0 else -1
-        done += 1
+        devs["final_constant"] = max(devs["final_constant"], float(np.abs(got - expect).max() * h))
+        const_sign = 1 if got[-1].real * h >= 0 else -1
+        done += len(arr)
 
     max_dev = max(devs.values())
     return RightSupportReport(

@@ -53,7 +53,10 @@ def test_tracer_binds_and_worker_runs_every_workload(bench):
                  "gammafns.loggamma", "asympt.leading_asymptotic", "cli.main",
                  "spectral.require_generic", "gz.check_brackets", "gz.apply"):
         assert spans[name][1] > 0, name
-    for name in ("mbquad.nodes", "residues.orders", "gammafns.loggamma.points"):
+    # gz.shifted.calls counts TriangularArray.shifted, gz.terms the shifts of each applied
+    # operator: batches must keep going through both
+    for name in ("mbquad.nodes", "residues.orders", "gammafns.loggamma.points",
+                 "gz.shifted.calls", "gz.terms"):
         assert tracer.counters[name] > 0, name
     # uninstall restores every binding
     for modname, mod in list(sys.modules.items()):

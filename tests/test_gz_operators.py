@@ -1,7 +1,6 @@
-import cmath
 import copy
-import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from parwhit.gz import (DifferenceOperator, SupportConstraints, TriangularArray,
                         random_array, twist)
 from parwhit.gz.identity import (BracketCheck, check_brackets, check_build_EnN,
                                  operator_deviation, random_test_function)
+from parwhit.gz.whittaker import psi_L, verify_left_whittaker, verify_right_support_relations
 from parwhit.errors import ConfigError, DomainError
 
 from oracles import gz_measure, plain_operator_deviation
@@ -22,11 +22,18 @@ def const_one(arr):
     return 1.0 + 0j
 
 
+def hexes(values):
+    """The float hex of each entry of a complex array, or of each array of a dict of them."""
+    if isinstance(values, dict):
+        return {key: hexes(c) for key, c in values.items()}
+    return [(z.real.hex(), z.imag.hex()) for z in np.ravel(values).tolist()]
+
+
 def check_serre(N: int, hbar: float, n_functions: int, n_arrays: int,
                 seed: int) -> list[BracketCheck]:
     """[E_{n,n+1}, E_{k,k+1}] = 0 for |n - k| >= 2 (spot checks)."""
     rng = np.random.default_rng(seed)
-    zero = DifferenceOperator(hbar, (), lambda arr, memo: {})
+    zero = DifferenceOperator(hbar, (), lambda arr, memo, move: {})
     out = []
     for n in range(1, N):
         for k in range(n + 2, N):
@@ -65,7 +72,7 @@ class TestGenerators:
     @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
     def test_bad_hbar_rejected(self, hbar):
         with pytest.raises(ConfigError, match="finite real > 0"):
-            DifferenceOperator(hbar, (), lambda arr, memo: {})
+            DifferenceOperator(hbar, (), lambda arr, memo, move: {})
         with pytest.raises(ConfigError, match="finite real > 0"):
             gen("raise", 1, 3, hbar)
         with pytest.raises(ConfigError, match="finite real > 0"):
@@ -185,10 +192,66 @@ class TestTriangularArray:
         rows = [list(r) for r in arr.rows]
         for (n, i), k in shift.items():
             rows[n - 1][i - 1] += k * H
-        assert got == TriangularArray(tuple(tuple(r) for r in rows))
+        assert hexes(got.data) == hexes(TriangularArray(tuple(tuple(r) for r in rows)).data)
+        assert hexes(arr.shifted(tuple(sorted(shift.items())), H).data) == hexes(got.data)
         assert arr.rows == before
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            got.rows = before
+        with pytest.raises(ValueError):
+            got.data[0, 0] = 0
+        with pytest.raises(AttributeError):
+            got.data = arr.data
+
+    def test_batch_holds_its_arrays(self):
+        rng = np.random.default_rng(14)
+        singles = [random_array(4, rng) for _ in range(3)]
+        batch = TriangularArray.stack(singles)
+        built = TriangularArray([[np.array([a.gamma(n, i)[0] for a in singles])
+                                  for i in range(1, n + 1)] for n in range(1, 5)])
+        assert len(batch) == 3 and batch.data.shape == (10, 3)
+        assert hexes(built.data) == hexes(batch.data)
+        shift = {(2, 1): -1, (4, 3): 2}
+        for s, single in enumerate(singles):
+            assert batch[s].rows == single.rows
+            assert batch[s].shifted(shift, H).rows == single.shifted(shift, H).rows
+            assert batch.shifted(shift, H)[s].rows == single.shifted(shift, H).rows
+        assert hexes(batch[np.array([False, True, True])].data) == hexes(batch.data[:, 1:])
+        with pytest.raises(ConfigError, match="batch of one"):
+            batch.rows
+
+    @pytest.mark.parametrize("N,seed", [(3, 0), (4, 204), (6, 43), (6, 801)])
+    def test_batch_draw_equals_single_draws(self, N, seed):
+        # a batch of arrays takes the same values and leaves the generator in the same
+        # state as drawing them one at a time, redraws included
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        batch = random_array(N, rng, 40)
+        singles = [random_array(N, clone) for _ in range(40)]
+        assert [batch[s].rows for s in range(40)] == [a.rows for a in singles]
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+    @pytest.mark.parametrize("N,seed", [(2, 0), (3, 5), (5, 17), (6, 801)])
+    def test_random_test_function_keeps_its_draws(self, N, seed):
+        # the per-scalar construction the bulk uniform call replaced
+        def reference(rng):
+            a = [complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+                 for n in range(1, N + 1) for _ in range(n)]
+            positions = [(n, i) for n in range(1, N + 1) for i in range(1, n + 1)]
+            k = int(rng.integers(0, 4))
+            chosen = [int(t) for t in rng.choice(len(positions), size=min(k, len(positions)),
+                                                 replace=False)]
+            offsets = [complex(rng.uniform(-1, 1), float(rng.choice([-1, 1])) * rng.uniform(4.0, 7.0))
+                       for _ in chosen]
+            return a, chosen, offsets
+
+        rng = np.random.default_rng(seed)
+        clone = copy.deepcopy(rng)
+        for _ in range(30):
+            a, chosen, offsets = reference(clone)
+            f = random_test_function(N, rng)
+            assert hexes(f.a) == hexes(a)
+            used = f.used[:, 0]
+            assert f.pos[used, 0].tolist() == chosen
+            assert hexes(f.b[used, 0]) == hexes(offsets)
+        assert rng.bit_generator.state == clone.bit_generator.state
 
     # seed 204 redraws at N = 4 and N = 6, seeds 43 and 179 at N = 6
     @pytest.mark.parametrize("N,seed", [(3, 0), (4, 204), (5, 7), (6, 43), (6, 179), (6, 801)])
@@ -311,12 +374,12 @@ class TestMemo:
         for name, op in _operators_with_rows(N):
             first, last = op.rows
             outside = [r for r in range(1, N + 1) if r < first or (last is not None and r > last)]
-            base = op.symbol(arr, {})
+            base = hexes(op.symbol(arr, {}, ()))
             for r in outside:
                 rows = list(arr.rows)
                 rows[r - 1] = random_array(N, rng).rows[r - 1]
-                moved = op.symbol(TriangularArray(tuple(rows)), {})
-                assert moved == base, (name, op.rows, r)
+                moved = op.symbol(TriangularArray(tuple(rows)), {}, ())
+                assert hexes(moved) == base, (name, op.rows, r)
 
     def test_declared_rows(self):
         assert gen("raise", 2, 5, H).rows == (2, 3)
@@ -325,22 +388,22 @@ class TestMemo:
         assert gen("cartan", 3, 5, H).rows == (2, 3)
         assert build_EnN(2, 5, H).rows == (2, 5)
         assert build_Eij(1, 3, 5, H).rows == (1, 3)
-        assert DifferenceOperator(H, (), lambda arr, memo: {}).rows == (1, None)
+        assert DifferenceOperator(H, (), lambda arr, memo, move: {}).rows == (1, None)
 
     def test_memo_does_not_leak_between_calls(self):
         rng = np.random.default_rng(31)
         N = 5
         f = random_test_function(N, rng)
-        arr1, arr2 = random_array(N, rng), random_array(N, rng)
+        arr1, arr2 = random_array(N, rng, 4), random_array(N, rng, 4)
         op = build_Eij(1, 5, N, H)
         first, second, again = op.apply(f, arr1), op.apply(f, arr2), op.apply(f, arr1)
-        assert first.real.hex() == again.real.hex() and first.imag.hex() == again.imag.hex()
-        fresh = build_Eij(1, 5, N, H).apply(f, arr2)
-        assert second.real.hex() == fresh.real.hex() and second.imag.hex() == fresh.imag.hex()
+        assert hexes(first) == hexes(again)
+        assert hexes(second) == hexes(build_Eij(1, 5, N, H).apply(f, arr2))
 
     def test_each_generator_symbol_is_evaluated_once_per_distinct_input(self, monkeypatch):
-        # one check_build_EnN(6, ...) call of a gz-verify round: without the memo the
-        # generator symbols are evaluated 10,017 times on 495 distinct inputs
+        # one check_build_EnN(6, ...) call of a gz-verify round evaluates each n on one
+        # batch of 3 x 3 arrays: without the memo its generator symbols are evaluated
+        # 1,113 times on 55 distinct (generator, move) inputs, each on the whole batch
         import parwhit.gz.identity as identity
         calls, inputs = [], set()
 
@@ -348,50 +411,53 @@ class TestMemo:
             op = gen(kind, n, N, hbar)
             symbol = op.symbol
 
-            def counting(arr, memo):
+            def counting(arr, memo, move):
+                assert len(arr) == 9
                 calls.append(1)
-                inputs.add((id(op), arr.rows[op.rows[0] - 1:op.rows[1]]))
-                return symbol(arr, memo)
+                inputs.add((id(op), move))
+                return symbol(arr, memo, move)
 
             op.symbol = counting
             return op
 
         monkeypatch.setattr(identity, "gen", counted_gen)
         check_build_EnN(6, H, 3, 3, seed=202101160)
-        assert len(calls) == len(inputs) == 495
+        assert len(calls) == len(inputs) == 55
 
     @staticmethod
     def _moves(op, N, rng):
-        """Three moves of op's rows: one entry, one per row, and two entries of one row."""
+        """Three moves of op's rows, as shift keys: one entry, one per row, and two
+        entries of one row."""
         first, last = op.rows
         rows = range(first, (last or N) + 1)
         one = {(first, 1): -1}
         each = {(n, int(rng.integers(1, n + 1))): int(rng.choice([-2, -1, 1])) for n in rows}
         wide = max(rows)
         two = {(wide, 1): 1, (wide, wide): -1} if wide > 1 else one
-        return one, each, two
-
-    @staticmethod
-    def _hex(symbol):
-        return {key: (c.real.hex(), c.imag.hex()) for key, c in symbol.items()}
+        return [tuple(sorted(move.items())) for move in (one, each, two)]
 
     @pytest.mark.parametrize("N", [3, 4, 5])
     def test_moved_lookup_equals_lookup_at_shifted_array(self, N):
         rng = np.random.default_rng(40 + N)
-        arr = random_array(N, rng)
+        arr = random_array(N, rng, 3)
+        first, last = 1, N
         for name, op in _operators_with_rows(N):
+            outside = [r for r in range(1, N + 1)
+                       if r < op.rows[0] or (op.rows[1] is not None and r > op.rows[1])]
             for move in self._moves(op, N, rng):
-                expect = self._hex(op.coeffs(arr.shifted(move, H), {}))
-                assert self._hex(op.coeffs(arr, {}, move)) == expect, (name, move)
+                expect = hexes(op.coeffs(arr.shifted(move, H), {}))
+                assert hexes(op.coeffs(arr, {}, move)) == expect, (name, move)
+                # a move that differs only outside the operator's rows is the same input
                 memo = {}
-                filled = op.coeffs(arr.shifted(move, H), memo)
-                assert op.coeffs(arr, memo, move) is filled, (name, move)
+                filled = op.coeffs(arr, memo, move)
+                wider = tuple(sorted(move + tuple(((r, 1), 1) for r in outside)))
+                assert op.coeffs(arr, memo, wider) is filled, (name, move)
 
     def test_repeated_lookup_builds_no_array(self, monkeypatch):
         N = 5
-        arr = random_array(N, np.random.default_rng(45))
+        arr = random_array(N, np.random.default_rng(45), 4)
         op = build_Eij(1, 4, N, H)
-        move = {(2, 1): -1, (3, 2): 1}
+        move = (((2, 1), -1), ((3, 2), 1))
         memo = {}
         first = op.coeffs(arr, memo, move)
         built = []
@@ -399,40 +465,86 @@ class TestMemo:
         monkeypatch.setattr(TriangularArray, "shifted",
                             lambda self, *args: built.append(1) or shifted(self, *args))
         assert op.coeffs(arr, memo, move) is first
-        assert op.coeffs(arr.shifted(move, H), memo) is first
-        assert len(built) == 1                 # the explicit shift above, none inside coeffs
+        assert op.coeffs(arr, memo, move + (((5, 2), 3),)) is first
+        assert built == []
 
     @pytest.mark.parametrize("N", [3, 4, 5])
     def test_each_point_is_evaluated_once(self, monkeypatch, N):
-        # f runs once per distinct shift key with a nonzero coefficient in A or B
+        # f runs once on the whole batch per distinct shift key whose coefficient is
+        # nonzero on some array in A or B
         import parwhit.gz.identity as identity
-        events = []
-        make_f, draw = identity.random_test_function, identity.random_array
+        points, batches = [], []
+        call, draw = identity._TestFn.__call__, identity.random_array
 
-        def counted_f(N, rng):
-            f = make_f(N, rng)
-            return lambda point: events.append(point.rows) or f(point)
+        def counted_call(self, arr):
+            points.append(arr)
+            return call(self, arr)
 
-        def recorded_array(N, rng):
-            arr = draw(N, rng)
-            events.append(arr)
+        def recorded_array(N, rng, size=1):
+            arr = draw(N, rng, size)
+            batches.append(arr)
             return arr
 
-        monkeypatch.setattr(identity, "random_test_function", counted_f)
+        monkeypatch.setattr(identity._TestFn, "__call__", counted_call)
         monkeypatch.setattr(identity, "random_array", recorded_array)
         pairs = [(commutator(gen("raise", 1, N, H), gen("lower", 1, N, H)),
                   gen("cartan", 1, N, H) - gen("cartan", 2, N, H)),
                  (build_EnN(1, N, H), build_Eij(1, N, N, H))]
         for A, B in pairs:
-            events.clear()
+            points.clear()
+            batches.clear()
             operator_deviation(A, B, N, np.random.default_rng(N), 2, 3)
-            starts = [k for k, e in enumerate(events) if isinstance(e, TriangularArray)]
-            assert len(starts) == 6
-            for k, end in zip(starts, starts[1:] + [len(events)]):
-                arr, points = events[k], events[k + 1:end]
-                keys = {key for op in (A, B) for key, c in op.symbol(arr, {}).items() if c != 0}
-                assert len(points) == len(keys)
-                assert set(points) == {arr.shifted(dict(key), H).rows for key in keys}
+            assert [len(b) for b in batches] == [3, 3]
+            arr = TriangularArray.stack(batches)
+            keys = {key for op in (A, B) for key, c in op.symbol(arr, {}, ()).items()
+                    if (c != 0).any()}
+            assert len(points) == len(keys)
+            assert sorted(hexes(p.data) for p in points) == \
+                sorted(hexes(arr.shifted(key, H).data) for key in keys)
+
+
+class TestBatch:
+    """A batch of S arrays gives, in float hex, what S batches of one give."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    def test_apply_on_a_batch_equals_applies_on_each_array(self, N):
+        rng = np.random.default_rng(70 + N)
+        f = random_test_function(N, rng)
+        arr = random_array(N, rng, 9)
+        for name, op in _operators_with_rows(N):
+            got = op.apply(f, arr)
+            assert hexes(got) == [h for s in range(9) for h in hexes(op.apply(f, arr[s]))], name
+
+    @pytest.mark.parametrize("m,N", [(2, 3), (2, 4), (3, 5), (4, 6)])
+    def test_psi_L_on_a_batch_equals_psi_L_on_each_array(self, m, N):
+        rng = np.random.default_rng(80 + N)
+        arr = random_array(N, rng, 9)
+        psi = lambda a: psi_L(m, a, H)   # noqa: E731
+        assert hexes(psi(arr)) == [h for s in range(9) for h in hexes(psi(arr[s]))]
+        for k in range(1, N):
+            op = adjoint(twist((k + 1, k), coxeter_cycle(m, N), N, H))
+            assert hexes(op.apply(psi, arr)) == \
+                [h for s in range(9) for h in hexes(op.apply(psi, arr[s]))], k
+
+
+@pytest.mark.parametrize("suite,args", [
+    (check_brackets, (5, H, 3, 3, 2)),
+    (check_build_EnN, (5, H, 3, 3, 3)),
+    (verify_left_whittaker, (3, 5)),
+    (verify_right_support_relations, (3, 5)),
+])
+def test_gz_suites_raise_no_runtime_warning(suite, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        suite(*args)
+
+
+@pytest.mark.parametrize("check,seed", [(check_brackets, 0), (check_build_EnN, 1)])
+def test_overflow_is_refused_without_a_runtime_warning(check, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="hbar = 1e-300"):
+            check(4, 1e-300, 5, 5, seed)
 
 
 class TestPlainOracle:

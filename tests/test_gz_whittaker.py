@@ -41,16 +41,18 @@ class TestPsiL:
 
 @pytest.mark.parametrize("N,n,p", [(3, 2, 1), (4, 4, 2), (5, 3, 2), (6, 6, 4), (6, 4, 3)])
 def test_block_args_keep_their_arithmetic(N, n, p):
-    # the elementwise form the numpy outer difference replaced, in float hex
+    # the elementwise form the numpy outer difference replaced, in float hex, on a
+    # batch of three arrays: one line per (a, b), one column per array
     h = 1.1
     for seed in range(3):
-        arr = random_array(N, np.random.default_rng(seed))
-        expect = [arr.gamma(n - 1, a) - arr.gamma(n, b) + h / 2
-                  for a in range(1, p + 1) for b in range(1, n + 1)]
+        arr = random_array(N, np.random.default_rng(seed), 3)
         got = _block_args(arr, n, p, h)
-        assert got.shape == (p * n,)
-        assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
-            [(z.real.hex(), z.imag.hex()) for z in expect]
+        assert got.shape == (p * n, 3)
+        for s in range(3):
+            rows = arr[s].rows
+            expect = [rows[n - 2][a] - rows[n - 1][b] + h / 2 for a in range(p) for b in range(n)]
+            assert [(z.real.hex(), z.imag.hex()) for z in got[:, s].tolist()] == \
+                [(z.real.hex(), z.imag.hex()) for z in expect]
 
 
 class TestLeftWhittaker:
