@@ -42,22 +42,16 @@ class TriangularArray:
             if len(r) != n:
                 raise ConfigError(f"row {n} must have {n} entries, got {len(r)}")
             entries += [np.asarray(v, dtype=complex) for v in r]
-        data = np.array(np.broadcast_arrays(*entries))
-        self._set(len(rows), data.reshape(len(entries), -1))
-
-    def _set(self, N: int, data: np.ndarray) -> None:
-        data.flags.writeable = False
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "data", data)
+        self.N, self.data = len(rows), np.array(np.broadcast_arrays(*entries)).reshape(len(entries), -1)
+        self.data.flags.writeable = False
 
     @classmethod
     def _of(cls, N: int, data: np.ndarray) -> "TriangularArray":
+        """The batch of the given entries, taken as they are and made read-only."""
         out = object.__new__(cls)
-        out._set(N, data)
+        out.N, out.data = N, data
+        data.flags.writeable = False
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TriangularArray is read-only: cannot set {name}")
 
     @staticmethod
     def stack(arrays: Sequence["TriangularArray"]) -> "TriangularArray":
@@ -68,7 +62,7 @@ class TriangularArray:
         return self.data.shape[1]
 
     def __getitem__(self, index) -> "TriangularArray":
-        """The arrays at index (an int, a slice, an index or a boolean array), as a batch."""
+        """The arrays at index (an int or a numpy index such as a boolean mask), as a batch."""
         if isinstance(index, (int, np.integer)):
             index = [index]
         return TriangularArray._of(self.N, np.ascontiguousarray(self.data[:, index]))

@@ -197,8 +197,6 @@ class TestTriangularArray:
         assert arr.rows == before
         with pytest.raises(ValueError):
             got.data[0, 0] = 0
-        with pytest.raises(AttributeError):
-            got.data = arr.data
 
     def test_batch_holds_its_arrays(self):
         rng = np.random.default_rng(14)
