@@ -82,12 +82,12 @@ def psi_L(m: int, arr: TriangularArray, hbar: float, perturb: float = 0.0) -> np
     z = _block_args(arr, m, m - 1, h)
     z[0] = z[0] + perturb
     zero = on_pole_lattice(z / h).any(axis=0)      # a zero of the reciprocal gamma
+    exponent = 1j * math.pi * arr.gamma(1, 1) / h - np.add.accumulate(log_gamma1(z, h))[-1]
     with np.errstate(all="ignore"):
-        val = np.exp(1j * math.pi * arr.gamma(1, 1) / h - np.add.accumulate(log_gamma1(z, h))[-1])
-    if not np.isfinite(val[~zero]).all():
+        val = np.exp(exponent)
+    if (np.isfinite(exponent) & ~np.isfinite(val) & ~zero).any():     # exp overflowed
         raise DomainError(f"psi_L leaves the double range at hbar = {h:g}")
-    val[zero] = 0
-    return val
+    return np.where(zero, 0j, val)
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
             drawn += short
             arr = random_array(N, rng, short)
             denom = psi(arr)
-            usable = np.abs(denom) >= 1e-250     # neither a zero of psi_L nor an underflow
+            usable = np.isfinite(denom) & (np.abs(denom) >= 1e-250)    # no zero or underflow
             arr, denom = arr[usable], denom[usable]
             with np.errstate(all="ignore"):      # a singular coefficient drops its array
                 val = op.apply(psi, arr)

@@ -1,6 +1,6 @@
-import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +27,16 @@ class TestPsiL:
         for b in (0.3, -0.4):
             expect /= math.gamma(0.0 - b + 0.5)
         assert got == pytest.approx(expect, rel=1e-12)
+
+    def test_overflow_is_a_domain_error(self):
+        # at hbar = 1e-3 the phase e^{i pi gamma_11 / hbar} overflows where Im gamma_11 = -1;
+        # the second array of the batch stays in range on its own
+        arr = TriangularArray([[np.array([-1j, 0.5j])], [np.array([0.3, 0.3]), np.array([-0.4, -0.4])]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="hbar = 0.001"):
+                psi_L(2, arr, 1e-3)
+            assert np.isfinite(psi_L(2, arr[1], 1e-3)).all()
 
     def test_phase_flips_sign_under_hbar_shift_of_gamma11(self):
         # e^{i pi gamma_{1,1}/hbar} picks up exactly -1 when gamma_{1,1} moves by hbar
