@@ -336,8 +336,9 @@ def twist(label: tuple[int, int], w, N: int, hbar: float) -> DifferenceOperator:
     return build_Eij(winv[i], winv[j], N, hbar)
 
 
-def measure_ratio(arr: TriangularArray, shift: Mapping[tuple[int, int], int], hbar: float) -> complex:
-    """mu(gamma + hbar*shift) / mu(gamma) as a finite rational factor.
+def measure_ratio(arr: TriangularArray, shift: Mapping[tuple[int, int], int], hbar: float):
+    """mu(gamma + hbar*shift) / mu(gamma) as a finite rational factor, per array of the batch
+    (the number 1 when the shift moves none of rows 2..N-1).
 
     mu(gamma) = prod_{n=2}^{N-1} prod_{i != j} 1/Gamma((gamma_{n,i} -
     gamma_{n,j})/hbar) with N = arr.N; it vanishes exactly where some

@@ -115,9 +115,10 @@ def verify_left_whittaker(m: int, N: int, samples: int = 8, seed: int = 0,
     w is the Coxeter cycle sending 1 -> 2 -> ... -> m -> 1; the eigen-ratio
     is measured pointwise at `samples` random non-singular arrays and must be
     a sample-independent constant of modulus 1 (times 1/hbar) within VERIFY_TOL.
-    The arrays are drawn as one batch; an array where psi_L vanishes or is
-    tiny, or where the operator's value is not finite, is dropped and only
-    the shortfall is drawn again, at most _MAX_RESAMPLE arrays in all.
+    The arrays are drawn as one batch; an array where psi_L vanishes, is
+    tiny or is not finite, or where the operator's value is not finite, is
+    dropped and only the shortfall is drawn again, at most samples +
+    _MAX_RESAMPLE arrays in all.
     """
     if not 2 <= m < N:
         raise ConfigError(f"need 2 <= m < N, got m={m}, N={N}")
