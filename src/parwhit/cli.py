@@ -22,16 +22,15 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 import time
+from typing import NoReturn
 
 from . import __version__
 from .asympt import leading_asymptotic
 from .errors import (ConfigError, DomainError, ParwhitError, QuadratureError,
                      VerificationError)
-from .gz.combin import check_combin_identities
-from .gz.identity import check_brackets, check_build_EnN
-from .gz.whittaker import VERIFY_TOL, verify_left_whittaker, verify_right_support_relations
 from .logcomplex import LogComplex, rescaled_sum
 from .mbquad import auto_contour, eval_mb
 from .residues import eval_residue_series
@@ -187,6 +186,8 @@ def _sweep_csv(payload: dict) -> str:
 
 
 def _operator_suite(args: argparse.Namespace) -> dict:
+    from .gz.identity import check_brackets, check_build_EnN
+    from .gz.whittaker import VERIFY_TOL
     checks = check_brackets(args.N, args.hbar, 5, 5, args.seed)
     checks += check_build_EnN(args.N, args.hbar, 5, 5, args.seed + 1)
     worst = max(c.deviation for c in checks)
@@ -199,6 +200,9 @@ def cmd_verify(args: argparse.Namespace) -> dict:
         raise ConfigError(f"verify needs 2 <= m < N, got m={args.m}, N={args.N}")
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    # the GZ layer is loaded here, not at import, so that the other commands never compile it
+    from .gz.combin import check_combin_identities
+    from .gz.whittaker import verify_left_whittaker, verify_right_support_relations
     worst, tol = check_combin_identities(args.seed), 1e-11
     suites = [{"suite": "combin-identities", "passed": worst <= tol, "max_deviation": worst, "tol": tol},
               _operator_suite(args)]
@@ -284,5 +288,22 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run_process(argv: list[str] | None = None) -> NoReturn:
+    """The process entry of `python -m parwhit.cli` and the `parwhit` script.
+
+    Runs main(), flushes stdout and stderr and ends the process with
+    os._exit, which skips the interpreter's teardown of numpy and scipy
+    (about 40 ms a call).  If a flush raises, the output may not have been
+    delivered, so the normal exit runs instead and reports the failure.
+    """
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_process()

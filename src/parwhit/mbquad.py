@@ -156,7 +156,7 @@ def eval_mb(
     if sign == 0:
         return MBResult(LogComplex.zero(), math.inf, c)
     pairs = m * (m - 1) // 2
-    log_mag = (logdet + float(log_scale.sum()) + math.lgamma(m + 1)
+    log_mag = (float(logdet) + float(log_scale.sum()) + math.lgamma(m + 1)
                + pairs * math.log(S / (2.0 * math.pi * h)))
     value = LogComplex(log_mag, float(np.angle(sign)))
 

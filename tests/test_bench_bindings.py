@@ -74,6 +74,16 @@ def test_cli_import_loads_scipy_special():
     assert p.stdout.strip() == "True"
 
 
+def test_cli_import_loads_no_gz_module():
+    # only `verify` reads the GZ layer, so the other commands neither compile nor load it
+    code = "import sys, parwhit.cli; print(sorted(m for m in sys.modules if m.startswith('parwhit.gz')))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "[]"
+
+
 def test_estimates_script_checks_two_seeds():
     # scripts/estimates.py runs one round per seed through perfbench's own checks;
     # quad seed 813 holds a row whose error is round-off within 1.5x of the old estimate

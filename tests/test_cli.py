@@ -1,16 +1,21 @@
 import functools
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import parwhit.gz.whittaker
 from parwhit import cli
 from parwhit.cli import (COMMANDS, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY, build_parser,
                          main)
 from parwhit.gz.whittaker import verify_left_whittaker
+from parwhit.spectral import SpectralData
 
 from oracles import BESSEL_REFERENCE
 
@@ -56,6 +61,14 @@ class TestRecord:
             assert set(rec) == {"inputs", "method", "value", "error_estimate", "wall_time",
                                 "library_version", "diagnostics"}
         assert set(records[0]["diagnostics"]) == {"lines", "half_extent", "nodes_per_dim"}
+
+    @pytest.mark.parametrize("m,N,lam", [(1, 3, (0.7, 0.0, -0.9)), (2, 4, (0.9, 0.3, -0.4, -1.05))])
+    @pytest.mark.parametrize("method", ["mb", "residue", "asymptotic"])
+    def test_every_route_returns_python_floats(self, m, N, lam, method):
+        # a numpy scalar would show in repr as np.float64(...) on one route and not the others
+        value, rec = cli._evaluate(SpectralData(m=m, N=N, lam=lam, hbar=1.0, x=-2.0), method)
+        assert type(value.log_mag) is float and type(value.phase) is float
+        assert type(rec["error_estimate"]) is float
 
     @pytest.mark.parametrize("argv", [("eval", "--method", "both"), ("asympt",), ("xval",)],
                              ids=["eval", "asympt", "xval"])
@@ -273,7 +286,7 @@ class TestVerify:
             "combin-identities", "gz-operators", "left-whittaker", "right-support"}
 
     def test_perturbation_fails_left_suite_exit4(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_left_whittaker",
+        monkeypatch.setattr(parwhit.gz.whittaker, "verify_left_whittaker",
                             functools.partial(verify_left_whittaker, perturb=1e-6))
         code, out = run(capsys, "verify", "--m", "2", "--N", "4", "--seed", "11")
         assert code == EXIT_VERIFY
@@ -322,6 +335,61 @@ class TestOutputFile:
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"config error: cannot write {target}")
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    """`python -m parwhit.cli argv` in a fresh interpreter: (exit code, stdout, stderr).
+
+    PYTHONUNBUFFERED is dropped, so stdout is block-buffered and the exit must flush it.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    p = subprocess.run([sys.executable, "-m", "parwhit.cli", *argv], stdout=stdout,
+                       stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    return p.returncode, p.stdout, p.stderr
+
+
+class TestProcess:
+    """The `__main__` path, which ends the process with os._exit once the output is flushed."""
+
+    def test_exit_codes(self):
+        code, out, _ = run_process("eval", "--m", "1", "--N", "2", "--lambda", "0,0")
+        assert code == EXIT_OK
+        assert json.loads(out)["records"][0]["value"]["re"] > 0
+        code, out, err = run_process("eval", "--lambda", "1,a")
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("config error: cannot parse float list")
+        code, out, _ = run_process("eval", "--m", "1", "--N", "2", "--x", "100")
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"]["type"] == "QuadratureError"
+
+    def test_output_beyond_the_pipe_buffer_arrives_whole(self):
+        grid = [-6.0 + 0.01 * i for i in range(600)]
+        code, out, _ = run_process("sweep", "--m", "1", "--N", "2", "--lambda", "0.5,0",
+                                   "--method", "mb", "--format", "csv",
+                                   "--x-grid=" + ",".join(map(repr, grid)))
+        assert code == EXIT_OK
+        assert len(out.encode()) > 65536 and out.endswith("\n")
+        lines = out.splitlines()
+        assert lines[0].startswith("x,method,log_mag") and len(lines) == 1 + len(grid)
+        assert [float(line.split(",")[0]) for line in lines[1:]] == grid
+        assert all(line.split(",")[-1] == "" for line in lines[1:])
+
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path):
+        argv = ("sweep", "--m", "1", "--N", "2", "--lambda", "0.5,0", "--x-grid=-2,-3")
+        _, out, _ = run_process(*argv)
+        target = tmp_path / "sweep.json"
+        code, to_file, _ = run_process(*argv, "--out", str(target))
+        assert code == EXIT_OK and to_file == ""
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_undelivered_output_is_not_exit0(self):
+        # the flush fails, so the normal exit runs and reports it
+        with open("/dev/full", "w") as full:
+            code, _, err = run_process("eval", stdout=full)
+        assert code not in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_VERIFY)
+        assert "No space left on device" in err
 
 
 class TestEvalDeterminism:
