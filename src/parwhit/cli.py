@@ -293,8 +293,9 @@ def run_process(argv: list[str] | None = None) -> NoReturn:
 
     Runs main(), flushes stdout and stderr and ends the process with
     os._exit, which skips the interpreter's teardown of numpy and scipy
-    (about 40 ms a call).  If a flush raises, the output may not have been
-    delivered, so the normal exit runs instead and reports the failure.
+    (40-65 ms a call on 2 vCPUs).  If a flush raises, the output may not
+    have been delivered, so the normal exit runs instead and reports the
+    failure.
     """
     code = main(argv)
     try:
