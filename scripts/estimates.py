@@ -29,8 +29,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+def _load(name: str, perfbench: str = PERFBENCH):
+    """perfbench/<name>.py of this checkout, or of the one whose perfbench/ is given."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(perfbench, f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod

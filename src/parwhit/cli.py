@@ -149,20 +149,24 @@ def cmd_value(args: argparse.Namespace) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> dict:
     rows = []
     for x in args.x_grid:
-        asym = None     # shared by the method rows of this x
+        # shared by the method rows of this x; where it is undefined (a non-generic lambda)
+        # the values are still served and the ratio is left empty
+        try:
+            asym = leading_asymptotic(_spectral(args, x))
+        except ParwhitError:
+            asym = None
         for method in _value_methods(args, x):
             row = {"x": x, "method": method}
             try:
-                s = _spectral(args, x)
-                value, rec = _evaluate(s, method)
-                if asym is None:
-                    asym = leading_asymptotic(s)
-                ratio = value / asym
+                value, rec = _evaluate(_spectral(args, x), method)
                 row.update(rec["value"])
                 row["error_estimate"] = rec["error_estimate"]
-                row["ratio_to_asymptotic"] = (
-                    math.exp(ratio.log_mag) * math.cos(ratio.phase) if ratio.log_mag < 700 else math.nan
-                )
+                row["ratio_to_asymptotic"] = None
+                if asym is not None:
+                    ratio = value / asym
+                    row["ratio_to_asymptotic"] = (
+                        math.exp(ratio.log_mag) * math.cos(ratio.phase) if ratio.log_mag < 700 else math.nan
+                    )
                 row["error"] = ""
             except ParwhitError as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"

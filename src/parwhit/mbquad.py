@@ -11,12 +11,14 @@ x_k = x + i pi (2k - m + 1): column k is the m = 1 integral at x_k (the
 abelian/non-abelian form of the Grassmannian J-function).  Each column runs
 on its own vertical line, through its saddle (the root of
 sum_j psi((sigma - lambda_j)/hbar) + N log hbar = x_k) or at the floor
-max(lambda) + _contour_offset; it is one trapezoid sum, scaled in log space,
-and det M comes from slogdet.  On one common line this is exactly the m-fold
-tensor trapezoid sum.  The error estimate adds, per column, the tail, weighted
-by the determinant's sensitivity to the column; the aliasing, as half the
-change of log det M from the trapezoid to the midpoint rule on the same line;
-and the round-off of each node's terms of log W, weighted by the node's share
+max(lambda) + _contour_offset.  For real lambda and x, x_{m-1-k} = conj(x_k),
+so conjugate columns share one saddle solve, one truncation probe and one
+line.  Each column is one trapezoid sum, scaled in log space, and det M comes
+from slogdet.  On one common line this is exactly the m-fold tensor trapezoid
+sum.  The error estimate adds, per column, the tail, weighted by the
+determinant's sensitivity to the column; the aliasing, as half the change of
+log det M from the trapezoid to the midpoint rule on the same line; and the
+round-off of each node's terms of log W, weighted by the node's share
 G[y] F[y] M^-1[:,k] of log det M.
 """
 
@@ -220,7 +222,10 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     """Lines, truncation and node count for eval_mb.
 
     T grows from 2 hbar until on every line the end nodes of a 33-node probe
-    fall 1e-4 tol below its peak, less a floored line's cancellation.  A node
+    fall 1e-4 tol below its peak, less a floored line's cancellation.  Column
+    m-1-k is column k conjugated: its saddle is the conjugate (bit for bit),
+    its probe is column k's reversed, so each conjugate pair is solved and
+    probed once and lines[m-1-k] == lines[k].  A node
     count above MAX_NODES_PER_DIM is refused before anything is allocated, and
     before the saddles are solved when the coarsest step allows none at T = 2 hbar.
     """
@@ -254,10 +259,11 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
 
     nodes(2.0 * h, step_for(h))  # no line allows a coarser step: refuse before the saddles
     floor = s.lam_max + _contour_offset(s)
-    xs = _column_shifts(s)
-    lines = tuple(max(_saddle(s, xk).real, floor) for xk in xs)
+    xs = _column_shifts(s)[:(m + 1) // 2]
+    own = [max(_saddle(s, xk).real, floor) for xk in xs]
+    lines = tuple(own + own[:m // 2][::-1])
     T = 0.0
-    for xk, ck in zip(xs, lines):
+    for xk, ck in zip(xs, own):
         gap = max(0.0, -s.x) * (ck - s.lam_max) / h   # cancellation of a floored line
         t = 2.0 * h
         while True:

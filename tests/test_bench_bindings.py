@@ -5,7 +5,8 @@ gammafns calls it as `_loggamma`) in the loaded parwhit modules, and
 perfbench/worker.py calls the library through module attributes.  Both are
 loaded by path and run on each workload's reduced call set; nothing under
 perfbench/ is written.  scripts/estimates.py loads run.py and worker.py the
-same way and is run on two seeds.
+same way and is run on two seeds; scripts/parity.py runs a `quad` round
+in this checkout against itself.
 """
 
 import importlib.util
@@ -97,3 +98,14 @@ def test_estimates_script_checks_two_seeds():
                                      "unexpected": 0}
     (smallest,) = [line for line in lines if line.startswith("smallest est/true")]
     assert float(smallest.split()[3].rstrip(",")) >= 5.0
+
+
+def test_parity_script_finds_this_checkout_equal_to_itself():
+    # scripts/parity.py runs a round once per checkout and compares the outputs bit for bit
+    p = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "parity.py"),
+                        "--baseline", ROOT, "--workload", "quad", "--seeds", "801"],
+                       capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                       timeout=300)
+    assert p.returncode == 0, p.stdout + p.stderr
+    assert json.loads(p.stdout.splitlines()[-1]) == {"workload": "quad", "seeds": "801-801",
+                                                     "calls": 10, "differences": 0}

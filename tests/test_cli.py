@@ -225,6 +225,21 @@ class TestSweep:
         assert [r["x"] for r in rows] == [None, None]
         assert all(r["error"].startswith("ConfigError: x must be finite") for r in rows)
 
+    def test_undefined_asymptotic_keeps_the_values(self, capsys):
+        # lambda = (0, 0) is not generic: the asymptotic raises, the values are still served
+        code, out = run(capsys, "sweep", "--x-grid=-1,0,1")
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert [r["x"] for r in rows] == [-1.0, 0.0, 1.0]
+        for row in rows:
+            _, out = run(capsys, "eval", "--x", str(row["x"]))
+            (rec,) = json.loads(out)["records"]
+            assert {k: row[k] for k in rec["value"]} == rec["value"]
+            assert row["error_estimate"] == rec["error_estimate"]
+            assert row["ratio_to_asymptotic"] is None and row["error"] == ""
+        code, out = run(capsys, "sweep", "--x-grid=-1", "--format", "csv")
+        assert out.splitlines()[1].endswith(",,")
+
     def test_csv_output(self, capsys):
         code, out = run(capsys, "sweep", "--m", "1", "--N", "2", "--lambda", "0.5,0",
                         "--method", "mb", "--x-grid=-2,-3", "--format", "csv")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parwhit import (ContourConfig, SpectralData, auto_contour, eval_mb,
-                     eval_residue_series, integrand)
+                     eval_residue_series, integrand, mbquad)
 from parwhit.errors import ConfigError, DeskScaleError, PoleError, QuadratureError
 from parwhit.spectral import MAX_NODES_PER_DIM
 
@@ -62,8 +62,41 @@ class TestAutoContour:
         # conjugates, so their lines coincide and differ from the middle one
         s = SpectralData(m=3, N=5, lam=(0.62, 0.31, 0.0, -0.33, -0.67), hbar=1.0, x=8.0)
         a, b, c = auto_contour(s, 1e-9).lines
-        assert a == pytest.approx(c, rel=1e-12)
+        assert a == c
         assert abs(a - b) > 0.1
+
+    @pytest.mark.parametrize("m,N,lam", [
+        (1, 3, (0.7, 0.0, -0.9)),
+        (2, 4, (0.9, 0.4, -0.3, -1.15)),
+        (3, 5, (0.62, 0.31, 0.0, -0.33, -0.67)),
+    ])
+    def test_one_saddle_per_conjugate_pair(self, monkeypatch, m, N, lam):
+        calls = []
+
+        def counted(s, xk):
+            calls.append(xk)
+            return saddle(s, xk)
+
+        saddle = mbquad._saddle
+        monkeypatch.setattr(mbquad, "_saddle", counted)
+        c = auto_contour(SpectralData(m=m, N=N, lam=lam, hbar=1.0, x=-2.0), 1e-9)
+        assert len(calls) == (m + 1) // 2
+        assert c.lines == c.lines[::-1]
+
+    #: the lambda of the frozen grid (ROADMAP) for each N
+    FROZEN_LAMBDA = {3: (0.913, 0.141, -0.529), 4: (0.913, 0.377, -0.141, -0.887),
+                     5: (0.913, 0.371, -0.137, -0.529, -0.883),
+                     6: (1.31, 0.86, 0.37, -0.08, -0.61, -1.17)}
+
+    @pytest.mark.parametrize("x", [-6.0, -1.0, 2.0, 8.0])
+    @pytest.mark.parametrize("m,N", [(1, 3), (2, 4), (2, 5), (3, 5), (3, 6)])
+    def test_saddle_is_conjugate_symmetric_bit_for_bit(self, m, N, x):
+        # what lets auto_contour solve column m-1-k as column k: the same bits, conjugated
+        # (_saddle refuses none of these points)
+        for hbar in (0.4, 1.0):
+            s = SpectralData(m=m, N=N, lam=self.FROZEN_LAMBDA[N], hbar=hbar, x=x)
+            for xk in mbquad._column_shifts(s):
+                assert mbquad._saddle(s, xk.conjugate()) == mbquad._saddle(s, xk).conjugate()
 
     def test_offset_shrinks_for_strongly_negative_x(self):
         s = SpectralData(m=3, N=5, lam=(0.62, 0.31, 0.0, -0.33, -0.67), hbar=1.0, x=-5.0)
