@@ -260,10 +260,10 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     nodes(2.0 * h, step_for(h))  # no line allows a coarser step: refuse before the saddles
     floor = s.lam_max + _contour_offset(s)
     xs = _column_shifts(s)[:(m + 1) // 2]
-    own = [max(_saddle(s, xk).real, floor) for xk in xs]
-    lines = tuple(own + own[:m // 2][::-1])
+    half = [max(_saddle(s, xk).real, floor) for xk in xs]
+    lines = tuple(half + half[:m // 2][::-1])
     T = 0.0
-    for xk, ck in zip(xs, own):
+    for xk, ck in zip(xs, half):
         gap = max(0.0, -s.x) * (ck - s.lam_max) / h   # cancellation of a floored line
         t = 2.0 * h
         while True:

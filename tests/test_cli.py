@@ -237,8 +237,8 @@ class TestSweep:
             assert {k: row[k] for k in rec["value"]} == rec["value"]
             assert row["error_estimate"] == rec["error_estimate"]
             assert row["ratio_to_asymptotic"] is None and row["error"] == ""
-        code, out = run(capsys, "sweep", "--x-grid=-1", "--format", "csv")
-        assert out.splitlines()[1].endswith(",,")
+        _, out = run(capsys, "sweep", "--x-grid=-1", "--format", "csv")
+        assert out.splitlines()[1].endswith(",,")   # ratio_to_asymptotic and error empty
 
     def test_csv_output(self, capsys):
         code, out = run(capsys, "sweep", "--m", "1", "--N", "2", "--lambda", "0.5,0",

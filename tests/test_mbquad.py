@@ -71,13 +71,12 @@ class TestAutoContour:
         (3, 5, (0.62, 0.31, 0.0, -0.33, -0.67)),
     ])
     def test_one_saddle_per_conjugate_pair(self, monkeypatch, m, N, lam):
-        calls = []
+        calls, saddle = [], mbquad._saddle
 
         def counted(s, xk):
             calls.append(xk)
             return saddle(s, xk)
 
-        saddle = mbquad._saddle
         monkeypatch.setattr(mbquad, "_saddle", counted)
         c = auto_contour(SpectralData(m=m, N=N, lam=lam, hbar=1.0, x=-2.0), 1e-9)
         assert len(calls) == (m + 1) // 2
