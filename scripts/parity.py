@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Compare the outputs of benchmark rounds in this checkout and a baseline, bit for bit.
 
-For each seed, builds one round of a benchmark workload (this checkout's
-perfbench/workloads.py) and runs it once in each checkout: one subprocess per
-checkout imports that checkout's src/ and runs the calls through its
-perfbench/worker.py Runner, with the CLI called in-process.  Numbers are
-compared by float.hex, CLI stdout byte for byte once its `wall_time` lines are
-dropped.  Prints every call that differs, then a summary line, and exits 1 if
-any call differs.
+For each workload named with --workload (repeatable) and each seed, builds
+one round of that workload (this checkout's perfbench/workloads.py) and runs
+it once in each checkout: one subprocess per checkout imports that checkout's
+src/ and runs every round through its perfbench/worker.py Runner, with the
+CLI called in-process.  Numbers are compared by float.hex, CLI stdout byte
+for byte once its `wall_time` lines are dropped.  Prints every call that
+differs, then one summary line per workload, and exits 1 if any call differs.
 
-    python3 scripts/parity.py --baseline ../parent --workload quad --seeds 801-810
+    python3 scripts/parity.py --baseline ../parent --workload quad --workload cli-sweep --seeds 801-810
 
 Run it from anywhere inside the checkout; nothing under perfbench/ of either
 checkout is written.  A `quad` seed takes about 0.02 s a side, a `cli-sweep`
@@ -69,7 +69,8 @@ def main(argv=None) -> int:
     p.add_argument("--child", help=argparse.SUPPRESS)
     p.add_argument("--baseline", help="root of the checkout to compare with")
     workloads = _load("workloads")
-    p.add_argument("--workload", choices=workloads.WORKLOADS)
+    p.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
+                   help="a workload to compare; repeatable")
     p.add_argument("--seeds", type=_seeds, help="A-B, or one seed")
     a = p.parse_args(argv)
     if a.child:
@@ -77,19 +78,23 @@ def main(argv=None) -> int:
     if not (a.baseline and a.workload and a.seeds):
         p.error("--baseline, --workload and --seeds are required")
 
-    rounds = [workloads.build(a.workload, seed) for seed in a.seeds]
+    names = list(dict.fromkeys(a.workload))
+    jobs = [(name, seed, workloads.build(name, seed)) for name in names for seed in a.seeds]
+    rounds = [calls for _, _, calls in jobs]
     change = _run_side(os.path.dirname(PERFBENCH), rounds)
     baseline = _run_side(os.path.abspath(a.baseline), rounds)
-    differences = 0
-    for seed, calls, new, old in zip(a.seeds, rounds, change, baseline):
-        for k, (c, n, o) in enumerate(zip(calls, new, old)):
+    calls, differences = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
+    for (name, seed, round_calls), new, old in zip(jobs, change, baseline):
+        calls[name] += len(round_calls)
+        for k, (c, n, o) in enumerate(zip(round_calls, new, old)):
             if n != o:
-                differences += 1
-                print(f"seed {seed}, call {k} ({c['kind']}): change {json.dumps(n)[:300]}\n"
+                differences[name] += 1
+                print(f"{name} seed {seed}, call {k} ({c['kind']}): change {json.dumps(n)[:300]}\n"
                       f"    baseline {json.dumps(o)[:300]}")
-    print(json.dumps({"workload": a.workload, "seeds": f"{a.seeds.start}-{a.seeds.stop - 1}",
-                      "calls": sum(map(len, rounds)), "differences": differences}))
-    return 1 if differences else 0
+    for name in names:
+        print(json.dumps({"workload": name, "seeds": f"{a.seeds.start}-{a.seeds.stop - 1}",
+                          "calls": calls[name], "differences": differences[name]}))
+    return 1 if any(differences.values()) else 0
 
 
 if __name__ == "__main__":

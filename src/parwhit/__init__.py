@@ -13,7 +13,7 @@ from .errors import (CoincidentPointsError, ConfigError, DeskScaleError,
                      DomainError, GenericityError, ParwhitError, PoleError,
                      QuadratureError, SupportError, VerificationError)
 from .logcomplex import LogComplex, rescaled_sum
-from .mbquad import MBResult, auto_contour, eval_mb, integrand
+from .mbquad import MBResult, auto_contour, eval_mb
 from .residues import SeriesResult, eval_residue_series, residue_term
 from .spectral import ContourConfig, SpectralData
 
@@ -21,7 +21,7 @@ __all__ = [
     "__version__",
     "LogComplex", "rescaled_sum",
     "SpectralData", "ContourConfig",
-    "MBResult", "integrand", "eval_mb", "auto_contour",
+    "MBResult", "eval_mb", "auto_contour",
     "SeriesResult", "residue_term", "eval_residue_series",
     "leading_asymptotic",
     "ParwhitError", "ConfigError", "DomainError", "PoleError",

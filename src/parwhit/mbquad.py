@@ -27,16 +27,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DeskScaleError, PoleError, QuadratureError
-from .gammafns import digamma, log_gamma1, on_pole_lattice
+from .errors import ConfigError, DeskScaleError, QuadratureError
+from .gammafns import digamma, log_gamma1
 from .logcomplex import LogComplex
 from .spectral import MAX_NODES_PER_DIM, MAX_REL_ERR, ContourConfig, SpectralData
 
-__all__ = ["MBResult", "integrand", "eval_mb", "auto_contour"]
+__all__ = ["MBResult", "eval_mb", "auto_contour"]
 
 #: target exponent of the trapezoid's aliasing error (ln 1e13; at ln 1e11 the
 #: values on a line at max(lambda) + hbar stopped at 4e-11)
@@ -76,36 +75,14 @@ class MBResult:
     config: ContourConfig
 
 
-def integrand(gamma: Sequence[complex], s: SpectralData) -> LogComplex:
-    """The MB integrand at a single point gamma in C^m (no contour weights).
-
-    Coincident gamma components are legal and give an exact zero through the
-    reciprocal-gamma measure; a gamma_i - lambda_j on the pole lattice raises
-    PoleError.
-    """
-    g = np.array([complex(v) for v in gamma])
-    if g.size != s.m:
-        raise ConfigError(f"gamma must have m = {s.m} components")
-    h = s.hbar
-    num = g[:, None] - s.lam_array
-    poles = on_pole_lattice(num / h)
-    if poles.any():
-        raise PoleError(f"gamma - lambda_j = {num[poles][0]} lies on the gamma1 pole lattice")
-    pairs = (g[:, None] - g)[~np.eye(s.m, dtype=bool)]
-    if on_pole_lattice(pairs / h).any():
-        return LogComplex.zero()
-    return LogComplex.from_log(complex(
-        -(s.x / h) * g.sum() + log_gamma1(num, h).sum() - log_gamma1(pairs, h).sum()))
-
-
 def _column_shifts(s: SpectralData) -> np.ndarray:
     """x_k = x + i pi (2k - m + 1): column k is the m = 1 integrand at x_k."""
     return s.x + 1j * math.pi * (2 * np.arange(s.m) - s.m + 1)
 
 
-def _column_log(s: SpectralData, xk: complex, g: np.ndarray) -> np.ndarray:
-    """log W(gamma) = -(x_k/hbar) gamma + sum_j log gamma1(gamma - lambda_j) at the nodes g."""
-    return -(xk / s.hbar) * g + log_gamma1(g - s.lam_array[:, None], s.hbar).sum(axis=0)
+def _line_log(s: SpectralData, g: np.ndarray) -> np.ndarray:
+    """sum_j log gamma1(gamma - lambda_j) at the nodes g: log W(gamma) = -(x_k/hbar) gamma + this."""
+    return log_gamma1(g - s.lam_array[:, None], s.hbar).sum(axis=0)
 
 
 def eval_mb(
@@ -129,19 +106,25 @@ def eval_mb(
     S = max(abs(complex(ck, c.half_extent)) for ck in c.lines)
     M, Mid = np.empty((2, m, m), dtype=complex)
     log_scale, tails = np.empty((2, m))
-    cols = []
+    tables, cols = {}, []
     for k, (xk, ck) in enumerate(zip(_column_shifts(s), c.lines)):
-        g = ck + 1j * y
-        A = _column_log(s, xk, g) + logw
+        if ck not in tables:
+            # what the columns on this line share: the nodes, their gamma products and monomial
+            # rows, on the trapezoid nodes g and on the midpoint rule's gm, whose aliasing error
+            # is the trapezoid's with the opposite sign (Poisson summation), so that half their
+            # difference is the trapezoid's; and the size of the gamma terms of log W per node
+            g = ck + 1j * y
+            gm = g[:-1] + 0.5j * c.step
+            w = np.abs(g - s.lam_array[:, None]) / h
+            tables[ck] = (g, _line_log(s, g), (-1j * g / S)[:, None] ** np.arange(m),
+                          gm, _line_log(s, gm), (-1j * gm / S)[:, None] ** np.arange(m),
+                          (w * (abs(math.log(h)) + np.abs(np.log(w)) + math.pi + 1.0)).sum(axis=0))
+        g, lg, F, gm, lgm, Fm, size = tables[ck]
+        A = -(xk / h) * g + lg + logw
         log_scale[k] = A.real.max()
         G = np.exp(A - log_scale[k])
-        F = (-1j * g / S)[:, None] ** np.arange(m)
         M[:, k] = G @ F
-        # the midpoint rule on the same line, whose aliasing error is the trapezoid's with the
-        # opposite sign (Poisson summation), so that half their difference is the trapezoid's
-        gm = g[:-1] + 0.5j * c.step
-        Gm = np.exp(_column_log(s, xk, gm) + logw[1] - log_scale[k])
-        Mid[:, k] = Gm @ (-1j * gm / S)[:, None] ** np.arange(m)
+        Mid[:, k] = np.exp(-(xk / h) * gm + lgm + logw[1] - log_scale[k]) @ Fm
         absF = np.linalg.norm(F, axis=1) * np.abs(G)
         # the end nodes carry half weight; beyond them the nodes decay by q each
         end = absF[[0, -1]]
@@ -150,9 +133,7 @@ def eval_mb(
         tails[k] = end @ np.maximum(2.0 * h / c.step, more)
         # per node, the size of the terms of log W (x_k gamma / hbar, w log hbar + loggamma(w)):
         # their round-off, and the node's own, is a relative error of W of eps times that
-        w = np.abs(g - s.lam_array[:, None]) / h
-        size = np.abs(xk * g) / h + (w * (abs(math.log(h)) + np.abs(np.log(w)) + math.pi + 1.0)).sum(axis=0)
-        cols.append((G, F, size))
+        cols.append((G, F, np.abs(xk * g) / h + size))
 
     sign, logdet = np.linalg.slogdet(M)
     if sign == 0:
@@ -271,7 +252,8 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
                 raise QuadratureError(
                     f"no contour truncation below T = {t:.3g} reached boundary decay {tol:g}; "
                     "the integrand decays too slowly (check the instance scale)")
-            a = _column_log(s, xk, ck + 1j * np.linspace(-t, t, _PROBE_NODES)).real
+            g = ck + 1j * np.linspace(-t, t, _PROBE_NODES)
+            a = (-(xk / h) * g + _line_log(s, g)).real
             if max(a[0], a[-1]) <= math.log(_TAIL_MARGIN * tol) + a.max() - gap:
                 break
             t *= _GROWTH

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own gamma/quadrature machinery:
 k0_series is the textbook convergent expansion of the modified Bessel
-function; homogeneous_poly enumerates monomials directly; tensor_trapezoid
-sums the Mellin-Barnes integrand node by node over the full n^m grid;
+function; homogeneous_poly enumerates monomials directly; integrand is the
+Mellin-Barnes integrand at one point of C^m and tensor_trapezoid sums it
+node by node over the full n^m grid;
 gz_measure evaluates the Gelfand-Zetlin pairing measure factor by factor;
 plain_operator_deviation applies two operators to one array at a time, with
 no memo of symbols or test-function values.
@@ -16,6 +17,8 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
+from parwhit import LogComplex
+from parwhit.errors import PoleError
 from parwhit.gz import TriangularArray, random_array
 from parwhit.gz.identity import random_test_function
 
@@ -113,6 +116,34 @@ BESSEL_REFERENCE = {
 }
 
 
+def integrand(gamma, s) -> LogComplex:
+    """The MB integrand e^{-(x/hbar) sum_i gamma_i} prod_{i,j} gamma1(gamma_i - lambda_j)
+    prod_{i != k} 1/gamma1(gamma_i - gamma_k) at one point gamma in C^m, no contour weights.
+
+    Coincident components give an exact zero through the reciprocal-gamma
+    measure; a gamma_i - lambda_j on the gamma1 pole lattice raises PoleError.
+    """
+    h = s.hbar
+    g = np.array([complex(v) for v in gamma])
+    assert g.size == s.m
+
+    def on_lattice(z):
+        w = z / h
+        return (np.round(w.real) <= 0) & (np.abs(w - np.round(w.real)) <= 1e-12)
+
+    def log_gamma1(z):
+        return (z / h) * math.log(h) + loggamma(z / h)
+
+    num = g[:, None] - np.array(s.lam)
+    if on_lattice(num).any():
+        raise PoleError(f"gamma - lambda_j = {num[on_lattice(num)][0]} lies on the gamma1 pole lattice")
+    pairs = (g[:, None] - g)[~np.eye(s.m, dtype=bool)]
+    if on_lattice(pairs).any():
+        return LogComplex.zero()
+    return LogComplex.from_log(complex(
+        -(s.x / h) * g.sum() + log_gamma1(num).sum() - log_gamma1(pairs).sum()))
+
+
 def tensor_trapezoid(m, lam, hbar, x, epsilon, half_extent, nodes) -> tuple[complex, float]:
     """Log of the m-fold trapezoid sum of the MB integrand on (i[-T, T] + epsilon)^m.
 
@@ -207,6 +238,14 @@ BESSEL_LOG_REFERENCE = {
     (0.1, 0.0): -22.88761400802044,
     (0.1, 2.0): -57.74942776008024,
     (0.1, 8.0): -1096.844627779828,
+}
+
+#: Psi^(1,2) = 2h e^{-x(a+b)/(2h)} K_{(a-b)/h}(2 e^{x/2}/h) at lambda = (a, b) = (0.913, -0.377),
+#: x = -1, keyed by hbar, from mpmath at 40 digits (perfbench/reference.py agrees to 1e-15);
+#: the residue series' round-off exceeds its tail estimate at both
+SERIES_ROUND_OFF_REFERENCE = {
+    0.1: 0.002711926648391898,
+    0.2: 0.035887441349030894,
 }
 
 #: log Psi (every value positive) at (m, N, lambda, hbar, x) with x >= 2, frozen from

@@ -5,8 +5,8 @@ gammafns calls it as `_loggamma`) in the loaded parwhit modules, and
 perfbench/worker.py calls the library through module attributes.  Both are
 loaded by path and run on each workload's reduced call set; nothing under
 perfbench/ is written.  scripts/estimates.py loads run.py and worker.py the
-same way and is run on two seeds; scripts/parity.py runs a `quad` round
-in this checkout against itself.
+same way and is run on two seeds; scripts/parity.py runs a `quad` and a
+`cli-sweep` round in this checkout against itself.
 """
 
 import importlib.util
@@ -101,11 +101,14 @@ def test_estimates_script_checks_two_seeds():
 
 
 def test_parity_script_finds_this_checkout_equal_to_itself():
-    # scripts/parity.py runs a round once per checkout and compares the outputs bit for bit
+    # scripts/parity.py runs the rounds of every named workload once per checkout and
+    # compares the outputs bit for bit, with one summary line per workload
     p = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "parity.py"),
-                        "--baseline", ROOT, "--workload", "quad", "--seeds", "801"],
+                        "--baseline", ROOT, "--workload", "quad", "--workload", "cli-sweep",
+                        "--seeds", "801"],
                        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
                        timeout=300)
     assert p.returncode == 0, p.stdout + p.stderr
-    assert json.loads(p.stdout.splitlines()[-1]) == {"workload": "quad", "seeds": "801-801",
-                                                     "calls": 10, "differences": 0}
+    assert [json.loads(line) for line in p.stdout.splitlines()[-2:]] == [
+        {"workload": "quad", "seeds": "801-801", "calls": 10, "differences": 0},
+        {"workload": "cli-sweep", "seeds": "801-801", "calls": 6, "differences": 0}]

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from parwhit import (ContourConfig, SpectralData, auto_contour, eval_mb,
-                     eval_residue_series, integrand, mbquad)
+                     eval_residue_series, mbquad)
 from parwhit.errors import ConfigError, DeskScaleError, PoleError, QuadratureError
 from parwhit.spectral import MAX_NODES_PER_DIM
 
 from scipy.special import digamma
 
 from oracles import (BESSEL_LOG_REFERENCE, BESSEL_REFERENCE, PSI_REFERENCE, PSI_SPECTRA,
-                     ROUND_OFF_REFERENCE, SADDLE_REFERENCE, k0_series, quad_serves,
-                     tensor_trapezoid)
+                     ROUND_OFF_REFERENCE, SADDLE_REFERENCE, integrand, k0_series,
+                     quad_serves, tensor_trapezoid)
 
 
 def bessel_instance(x=0.0):
@@ -163,6 +163,45 @@ class TestEvalMB:
             b = eval_mb(s, shifted, max_rel_err=None).value
             assert abs((a / b).to_complex() - 1.0) <= 1e-8
 
+    @staticmethod
+    def count_log_gamma1(monkeypatch) -> list:
+        calls, log_gamma1 = [], mbquad.log_gamma1
+
+        def counted(z, hbar):
+            calls.append(np.shape(z))
+            return log_gamma1(z, hbar)
+
+        monkeypatch.setattr(mbquad, "log_gamma1", counted)
+        return calls
+
+    @pytest.mark.parametrize("m,N,lam,distinct", [
+        (1, 3, (0.7, 0.0, -0.9), 1),
+        (2, 4, (0.9, 0.4, -0.3, -1.15), 1),
+        (3, 5, (0.62, 0.31, 0.0, -0.33, -0.67), 2),
+    ])
+    def test_one_gamma_table_per_distinct_line(self, monkeypatch, m, N, lam, distinct):
+        # the gamma product of a line does not depend on x_k: one call for its trapezoid
+        # nodes and one for its midpoint nodes serve every column on it
+        s = SpectralData(m=m, N=N, lam=lam, hbar=1.0, x=2.0)
+        c = auto_contour(s, 1e-9)
+        assert len(set(c.lines)) == distinct
+        calls = self.count_log_gamma1(monkeypatch)
+        eval_mb(s, c)
+        assert len(calls) == 2 * distinct
+
+    def test_hand_set_lines_get_a_table_each(self, monkeypatch):
+        # three distinct lines on a (3,5) contour: three tables, and the value of the
+        # auto_contour contour, whose outer columns share a line
+        s = SpectralData(m=3, N=5, lam=(0.62, 0.31, 0.0, -0.33, -0.67), hbar=1.0, x=2.0)
+        c = auto_contour(s, 1e-9)
+        a, b, _ = c.lines
+        hand = ContourConfig((a, b, a + 0.25), c.half_extent, c.nodes_per_dim)
+        calls = self.count_log_gamma1(monkeypatch)
+        r = eval_mb(s, hand)
+        assert len(calls) == 6
+        ref = eval_mb(s, c)
+        assert abs((r.value / ref.value).to_complex() - 1.0) <= r.error_estimate + ref.error_estimate
+
     def test_doubling_change_within_reported_bound(self):
         for (m, N, lam, x) in [(1, 2, (0.0, 0.0), -2.0),
                                (2, 4, (0.9, 0.4, -0.3, -1.15), -3.0)]:
@@ -300,13 +339,12 @@ class TestNonConvergenceReporting:
         # the scalar integrand is the product of the columns' one-variable
         # integrands at x and the pair measure; pin the two paths together
         from parwhit.gammafns import log_gamma1
-        from parwhit.mbquad import _column_log
+        from parwhit.mbquad import _line_log
         s = SpectralData(m=2, N=4, lam=(0.9, 0.4, -0.3, -1.15), hbar=1.1, x=-2.0)
-        line = 2.0
-        y = np.array([-1.7, 0.3, 2.4])
-        A = _column_log(s, s.x, line + 1j * y)
+        g = 2.0 + 1j * np.array([-1.7, 0.3, 2.4])
+        A = -(s.x / s.hbar) * g + _line_log(s, g)
         for (a, b) in [(0, 1), (0, 2), (1, 2)]:
-            ga, gb = line + 1j * y[a], line + 1j * y[b]
+            ga, gb = g[a], g[b]
             direct = integrand([ga, gb], s)
             pair = log_gamma1(ga - gb, s.hbar) + log_gamma1(gb - ga, s.hbar)
             log_grid = A[a] + A[b] - pair
