@@ -13,12 +13,16 @@ on its own vertical line, through its saddle (the root of
 sum_j psi((sigma - lambda_j)/hbar) + N log hbar = x_k) or at the floor
 max(lambda) + _contour_offset.  For real lambda and x, x_{m-1-k} = conj(x_k),
 so conjugate columns share one saddle solve, one truncation probe and one
-line.  Each column is one trapezoid sum, scaled in log space, and det M comes
-from slogdet.  On one common line this is exactly the m-fold tensor trapezoid
-sum.  The error estimate adds, per column, the tail, weighted by the
-determinant's sensitivity to the column; the aliasing, as half the change of
-log det M from the trapezoid to the midpoint rule on the same line; and the
-round-off of each node's terms of log W, weighted by the node's share
+line.  On a line, sum_j log gamma1(gamma - lambda_j) and the monomial rows do
+not depend on x_k: eval_mb computes them once per distinct line, on the
+trapezoid and the midpoint nodes, and shares them among the columns on it,
+so its gamma work is O(distinct lines x n x N) values.  Each column is one
+trapezoid sum, scaled in log space, and det M comes from slogdet.  On one
+common line this is exactly the m-fold tensor trapezoid sum.  The error
+estimate adds, per column, the tail, weighted by the determinant's
+sensitivity to the column; the aliasing, as half the change of log det M
+from the trapezoid to the midpoint rule on the same line; and the round-off
+of each node's terms of log W, weighted by the node's share
 G[y] F[y] M^-1[:,k] of log det M.
 """
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from parwhit import LogComplex
-from parwhit.errors import PoleError
+from parwhit.errors import ConfigError, PoleError
 from parwhit.gz import TriangularArray, random_array
 from parwhit.gz.identity import random_test_function
 
@@ -125,7 +125,8 @@ def integrand(gamma, s) -> LogComplex:
     """
     h = s.hbar
     g = np.array([complex(v) for v in gamma])
-    assert g.size == s.m
+    if g.size != s.m:
+        raise ConfigError(f"gamma must have m = {s.m} components")
 
     def on_lattice(z):
         w = z / h
