@@ -90,6 +90,10 @@ def _value_payload(v: LogComplex) -> dict:
     return out
 
 
+def _inputs(s: SpectralData) -> dict:
+    return {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x}
+
+
 def _evaluate(s: SpectralData, method: str) -> tuple[LogComplex, dict]:
     """One value by method ("mb", "residue" or "asymptotic") and its timed record."""
     t0 = time.perf_counter()
@@ -104,8 +108,7 @@ def _evaluate(s: SpectralData, method: str) -> tuple[LogComplex, dict]:
         diagnostics = {"orders_summed": res.orders_summed, "terms": res.terms}
     else:
         value, err = leading_asymptotic(s), 0.0
-    inputs = {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x}
-    return value, {"inputs": inputs, "method": method,
+    return value, {"inputs": _inputs(s), "method": method,
                    "value": _value_payload(value), "error_estimate": err,
                    "wall_time": time.perf_counter() - t0, "library_version": __version__,
                    "diagnostics": diagnostics}
@@ -130,12 +133,26 @@ def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
 
 
 def cmd_value(args: argparse.Namespace) -> dict:
-    """eval, asympt and xval: one record per method and the pairwise discrepancies."""
+    """eval, asympt and xval: one record per method and the pairwise discrepancies.
+
+    xval keeps going past an evaluator that refuses the instance: its record holds
+    the error in place of a value, and only the served values are compared.  The
+    command fails (with the first refusal) only when no evaluator serves.
+    """
     s = _spectral(args, args.x)
-    values, records = {}, []
+    values, records, refusals = {}, [], []
     for method in _value_methods(args, s.x):
-        values[method], rec = _evaluate(s, method)
+        try:
+            values[method], rec = _evaluate(s, method)
+        except (DomainError, QuadratureError) as exc:
+            if args.command != "xval":
+                raise
+            refusals.append(exc)
+            rec = {"inputs": _inputs(s), "method": method,
+                   "error": {"type": type(exc).__name__, "message": str(exc)}}
         records.append(rec)
+    if not values:
+        raise refusals[0]
     discrepancies = {f"{a}/{b}": _rel_discrepancy(values[a], values[b])
                      for a, b in itertools.combinations(values, 2)}
     out = {"schema": SCHEMA_VERSION, "command": args.command, "records": records}

@@ -15,8 +15,12 @@ max(lambda) + _contour_offset.  For real lambda and x, x_{m-1-k} = conj(x_k),
 so conjugate columns share one saddle solve, one truncation probe and one
 line.  On a line, sum_j log gamma1(gamma - lambda_j) and the monomial rows do
 not depend on x_k: eval_mb computes them once per distinct line, on the
-trapezoid and the midpoint nodes, and shares them among the columns on it,
-so its gamma work is O(distinct lines x n x N) values.  Each column is one
+trapezoid and the midpoint nodes, and shares them among the columns on it.
+Every node set (trapezoid, midpoint, truncation probe) is exactly symmetric
+about y = 0, and for real lambda the gamma product at c - i y is the
+conjugate of the one at c + i y, so _line_log evaluates the y >= 0 half of
+each table and conjugates it: the gamma work is about
+distinct lines x n/2 x N values.  Each column is one
 trapezoid sum, scaled in log space, and det M comes from slogdet.  On one
 common line this is exactly the m-fold tensor trapezoid sum.  The error
 estimate adds, per column, the tail, weighted by the determinant's
@@ -48,7 +52,8 @@ _DISC_DECADES = 29.9
 #: cancellation budget (in nats) allotted to the contour offset at large |x|*m
 _CANCEL_BUDGET = 10.0
 
-_PROBE_NODES = 33
+#: the truncation probe's nodes on [-1, 1], exact dyadics symmetric about 0
+_PROBE_GRID = np.linspace(-1.0, 1.0, 33)
 _GROWTH = 1.5
 
 #: margin of the truncation probe below tol: an outer column decays only like e^{-pi |t| / 2}
@@ -84,9 +89,15 @@ def _column_shifts(s: SpectralData) -> np.ndarray:
     return s.x + 1j * math.pi * (2 * np.arange(s.m) - s.m + 1)
 
 
-def _line_log(s: SpectralData, g: np.ndarray) -> np.ndarray:
-    """sum_j log gamma1(gamma - lambda_j) at the nodes g: log W(gamma) = -(x_k/hbar) gamma + this."""
-    return log_gamma1(g - s.lam_array[:, None], s.hbar).sum(axis=0)
+def _line_log(s: SpectralData, c: float, y: np.ndarray) -> np.ndarray:
+    """sum_j log gamma1(c + i y - lambda_j) at nodes y with y[::-1] == -y: log W = -(x_k/hbar) gamma + this.
+
+    The sum is evaluated on the y >= 0 half only; its value at -y is the conjugate (Schwarz
+    reflection for real lambda, bit for bit in scipy's complex loggamma).
+    """
+    n = len(y)
+    up = log_gamma1(c + 1j * y[n // 2:] - s.lam_array[:, None], s.hbar).sum(axis=0)
+    return np.concatenate([up[::-1][:n // 2].conj(), up])
 
 
 def eval_mb(
@@ -103,7 +114,9 @@ def eval_mb(
     """
     c.validate_for(s)
     m, h, n = s.m, s.hbar, c.nodes_per_dim
-    y = np.linspace(-c.half_extent, c.half_extent, n)
+    # nodes exactly symmetric about y = 0, so that _line_log evaluates half of each table
+    y = c.step * (np.arange(n) - (n - 1) / 2)
+    ym = c.step * (np.arange(n - 1) - (n - 2) / 2)
     logw = np.full(n, math.log(c.step / (2.0 * math.pi)))
     logw[[0, -1]] -= math.log(2.0)
     # rows (-i gamma / S)^i stay within [0, 1]; det M carries S^P
@@ -117,11 +130,10 @@ def eval_mb(
             # rows, on the trapezoid nodes g and on the midpoint rule's gm, whose aliasing error
             # is the trapezoid's with the opposite sign (Poisson summation), so that half their
             # difference is the trapezoid's; and the size of the gamma terms of log W per node
-            g = ck + 1j * y
-            gm = g[:-1] + 0.5j * c.step
+            g, gm = ck + 1j * y, ck + 1j * ym
             w = np.abs(g - s.lam_array[:, None]) / h
-            tables[ck] = (g, _line_log(s, g), (-1j * g / S)[:, None] ** np.arange(m),
-                          gm, _line_log(s, gm), (-1j * gm / S)[:, None] ** np.arange(m),
+            tables[ck] = (g, _line_log(s, ck, y), (-1j * g / S)[:, None] ** np.arange(m),
+                          gm, _line_log(s, ck, ym), (-1j * gm / S)[:, None] ** np.arange(m),
                           (w * (abs(math.log(h)) + np.abs(np.log(w)) + math.pi + 1.0)).sum(axis=0))
         g, lg, F, gm, lgm, Fm, size = tables[ck]
         A = -(xk / h) * g + lg + logw
@@ -256,8 +268,8 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
                 raise QuadratureError(
                     f"no contour truncation below T = {t:.3g} reached boundary decay {tol:g}; "
                     "the integrand decays too slowly (check the instance scale)")
-            g = ck + 1j * np.linspace(-t, t, _PROBE_NODES)
-            a = (-(xk / h) * g + _line_log(s, g)).real
+            y = t * _PROBE_GRID
+            a = (-(xk / h) * (ck + 1j * y) + _line_log(s, ck, y)).real
             if max(a[0], a[-1]) <= math.log(_TAIL_MARGIN * tol) + a.max() - gap:
                 break
             t *= _GROWTH

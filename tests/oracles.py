@@ -217,6 +217,17 @@ PSI_REFERENCE = {
 }
 
 
+#: the lambda of the frozen grid (ROADMAP), one per N; every difference lies at least
+#: 0.008 hbar from hbar Z for each hbar of the grid
+FROZEN_LAMBDA = {
+    2: (0.913, -0.377),
+    3: (0.913, 0.141, -0.529),
+    4: (0.91, 0.377, -0.141, -0.885),
+    5: (0.912, 0.371, -0.137, -0.526, -0.883),
+    6: (1.31, 0.86, 0.37, -0.08, -0.61, -1.17),
+}
+
+
 def quad_serves(m: int, N: int) -> bool:
     """Whether auto_contour covers the shape: m <= 3, where its error estimate has
     been checked against the references, and N >= 2m - 1, where the integrand

@@ -264,6 +264,28 @@ class TestXval:
         methods = {r["method"] for r in payload["records"]}
         assert methods == {"mb", "residue", "asymptotic"}
 
+    def test_refused_evaluators_keep_the_served_value(self, capsys):
+        # at the default lambda = (0, 0) the residue series and the asymptotic refuse the
+        # non-generic spectrum, and the quadrature's value is still served: eval's, bit for bit
+        _, out = run(capsys, "eval", "--m", "1", "--N", "2", "--x", "-1")
+        (ev,) = json.loads(out)["records"]
+        code, out = run(capsys, "xval", "--m", "1", "--N", "2", "--x", "-1")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        mb, residue, asym = payload["records"]
+        assert dict(mb, wall_time=0.0) == dict(ev, wall_time=0.0)
+        assert residue["error"]["type"] == "GenericityError"
+        assert asym["error"]["type"] == "PoleError"
+        assert set(residue) == set(asym) == {"inputs", "method", "error"}
+        assert residue["inputs"] == mb["inputs"]
+        assert payload["discrepancies"] == {}
+
+    def test_no_evaluator_serves_exit3(self, capsys):
+        # the quadrature hits its node cap and the asymptotic a pole: the first refusal is reported
+        code, out = run(capsys, "xval", "--x", "1e308")
+        assert code == EXIT_DOMAIN
+        assert json.loads(out)["error"]["type"] == "QuadratureError"
+
     def test_xval_and_sweep_agree_with_eval_and_asympt(self, capsys):
         from parwhit import LogComplex
         inst = ("--m", "2", "--N", "4", "--lambda", "0.9,0.4,-0.3,-1.15")

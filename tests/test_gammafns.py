@@ -64,6 +64,15 @@ def test_gamma1_conjugation_symmetry():
         assert b == pytest.approx(a.conjugate(), rel=1e-12)
 
 
+def test_log_gamma1_is_conjugate_exact():
+    # what lets the quadrature evaluate each line's table on y >= 0 only and conjugate the rest
+    rng = np.random.default_rng(13)
+    for h in (0.1, 0.45, 1.0, 1.7):
+        z = (40.0 - rng.uniform(0.0, 39.99, 4000)) + 1j * rng.uniform(-400.0, 400.0, 4000)
+        z[:50] = z[:50].real
+        assert np.array_equal(log_gamma1(z.conj(), h), log_gamma1(z, h).conj())
+
+
 def test_recip_times_gamma1_is_one():
     # reflection: 1/gamma1(z) = gamma1(hbar - z) sin(pi z/hbar) / (pi hbar), independent of 1/exp
     rng = np.random.default_rng(11)

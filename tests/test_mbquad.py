@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from parwhit.spectral import MAX_NODES_PER_DIM
 
 from scipy.special import digamma
 
-from oracles import (BESSEL_LOG_REFERENCE, BESSEL_REFERENCE, PSI_REFERENCE, PSI_SPECTRA,
-                     ROUND_OFF_REFERENCE, SADDLE_REFERENCE, integrand, k0_series,
+from oracles import (BESSEL_LOG_REFERENCE, BESSEL_REFERENCE, FROZEN_LAMBDA, PSI_REFERENCE,
+                     PSI_SPECTRA, ROUND_OFF_REFERENCE, SADDLE_REFERENCE, integrand, k0_series,
                      quad_serves, tensor_trapezoid)
 
 
@@ -82,18 +83,13 @@ class TestAutoContour:
         assert len(calls) == (m + 1) // 2
         assert c.lines == c.lines[::-1]
 
-    #: the lambda of the frozen grid (ROADMAP) for each N
-    FROZEN_LAMBDA = {3: (0.913, 0.141, -0.529), 4: (0.913, 0.377, -0.141, -0.887),
-                     5: (0.913, 0.371, -0.137, -0.529, -0.883),
-                     6: (1.31, 0.86, 0.37, -0.08, -0.61, -1.17)}
-
     @pytest.mark.parametrize("x", [-6.0, -1.0, 2.0, 8.0])
     @pytest.mark.parametrize("m,N", [(1, 3), (2, 4), (2, 5), (3, 5), (3, 6)])
     def test_saddle_is_conjugate_symmetric_bit_for_bit(self, m, N, x):
         # what lets auto_contour solve column m-1-k as column k: the same bits, conjugated
         # (_saddle refuses none of these points)
         for hbar in (0.4, 1.0):
-            s = SpectralData(m=m, N=N, lam=self.FROZEN_LAMBDA[N], hbar=hbar, x=x)
+            s = SpectralData(m=m, N=N, lam=FROZEN_LAMBDA[N], hbar=hbar, x=x)
             for xk in mbquad._column_shifts(s):
                 assert mbquad._saddle(s, xk.conjugate()) == mbquad._saddle(s, xk).conjugate()
 
@@ -187,7 +183,21 @@ class TestEvalMB:
         assert len(set(c.lines)) == distinct
         calls = self.count_log_gamma1(monkeypatch)
         eval_mb(s, c)
-        assert len(calls) == 2 * distinct
+        # each table is evaluated on its y >= 0 half: n - n // 2 trapezoid, n // 2 midpoint nodes
+        n = c.nodes_per_dim
+        assert calls == [(N, n - n // 2), (N, n // 2)] * distinct
+
+    @pytest.mark.parametrize("n", [16, 17, 226, 227])
+    def test_half_table_equals_the_direct_sum(self, n):
+        # on nodes with y[::-1] == -y the conjugated upper half is the direct sum, bit for bit:
+        # the trapezoid and midpoint nodes of eval_mb and auto_contour's probe
+        from parwhit.gammafns import log_gamma1
+        s = SpectralData(m=3, N=6, lam=FROZEN_LAMBDA[6], hbar=0.7, x=-1.0)
+        step = 0.13
+        for y in (step * (np.arange(n) - (n - 1) / 2), step * (np.arange(n - 1) - (n - 2) / 2),
+                  0.05 * n * mbquad._PROBE_GRID):
+            direct = log_gamma1(2.01 + 1j * y - s.lam_array[:, None], s.hbar).sum(axis=0)
+            assert np.array_equal(mbquad._line_log(s, 2.01, y), direct)
 
     def test_hand_set_lines_get_a_table_each(self, monkeypatch):
         # three distinct lines on a (3,5) contour: three tables, and the value of the
@@ -341,9 +351,10 @@ class TestNonConvergenceReporting:
         from parwhit.gammafns import log_gamma1
         from parwhit.mbquad import _line_log
         s = SpectralData(m=2, N=4, lam=(0.9, 0.4, -0.3, -1.15), hbar=1.1, x=-2.0)
-        g = 2.0 + 1j * np.array([-1.7, 0.3, 2.4])
-        A = -(s.x / s.hbar) * g + _line_log(s, g)
-        for (a, b) in [(0, 1), (0, 2), (1, 2)]:
+        y = np.array([-2.4, -1.7, -0.3, 0.3, 1.7, 2.4])
+        g = 2.0 + 1j * y
+        A = -(s.x / s.hbar) * g + _line_log(s, 2.0, y)
+        for (a, b) in itertools.combinations(range(len(y)), 2):
             ga, gb = g[a], g[b]
             direct = integrand([ga, gb], s)
             pair = log_gamma1(ga - gb, s.hbar) + log_gamma1(gb - ga, s.hbar)
