@@ -5,11 +5,22 @@ For each workload named with --workload (repeatable) and each seed, builds
 one round of that workload (this checkout's perfbench/workloads.py) and runs
 it once in each checkout: one subprocess per checkout imports that checkout's
 src/ and runs every round through its perfbench/worker.py Runner, with the
-CLI called in-process.  Numbers are compared by float.hex, CLI stdout byte
-for byte once its `wall_time` lines are dropped.  Prints every call that
-differs, then one summary line per workload, and exits 1 if any call differs.
+CLI called in-process, and records every contour auto_contour returns.
+Numbers are compared by float.hex, CLI stdout byte for byte once its
+`wall_time` lines are dropped.  Prints every call that differs, then one
+summary line per workload, and exits 1 if any call differs.
+
+With --within-estimate, a change that moves values within their estimates
+passes: the contours, the CLI exit codes and the refusals (error texts with
+their numbers masked) must be equal, and each served value may move by at
+most the smaller of the two sides' relative estimates.  A value without an
+estimate (the asymptotic) must not move; a number derived from the values
+(the xval discrepancy) may move by (1 + |old|) times the call's largest
+bound.  CLI stdout is read with perfbench/run.py's `cli_outcomes`.  The
+summary line gives the largest change/estimate ratio of each workload.
 
     python3 scripts/parity.py --baseline ../parent --workload quad --workload cli-sweep --seeds 801-810
+    python3 scripts/parity.py --within-estimate --baseline ../parent --workload quad --seeds 801-810
 
 Run it from anywhere inside the checkout; nothing under perfbench/ of either
 checkout is written.  A `quad` seed takes about 0.02 s a side, a `cli-sweep`
@@ -20,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -29,6 +41,9 @@ from estimates import PERFBENCH, _load, _seeds
 
 #: the `"wall_time": ...` line of a CLI JSON record, the only part of its stdout that may differ
 _WALL_TIME = re.compile(r'^ *"wall_time": .*\n', re.M)
+
+#: a number in an error text, which --within-estimate lets differ between the sides
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\binf\b|\bnan\b")
 
 
 def _canonical(obj):
@@ -43,15 +58,68 @@ def _canonical(obj):
 
 
 def _child(checkout: str) -> int:
-    """Runs the rounds read from stdin with `checkout`'s library and worker; one JSON line out."""
+    """Runs the rounds read from stdin with `checkout`'s library and worker; one JSON line out.
+
+    Each call gives {"outputs": the Runner's outputs, "contours": [[lines, half_extent,
+    nodes_per_dim] of every contour auto_contour returned during the call]}.
+    """
     sys.path[:0] = [os.path.join(checkout, "perfbench"), os.path.join(checkout, "src")]
     runner = _load("worker", os.path.join(checkout, "perfbench")).Runner(in_process=True)
     if not os.path.abspath(runner.parwhit.__file__).startswith(os.path.join(checkout, "src", "")):
         raise SystemExit(f"parwhit was imported from {runner.parwhit.__file__}, not from {checkout}")
-    rounds = json.load(sys.stdin)
-    outputs = [[_canonical(getattr(runner, c["kind"])(c)) for c in calls] for calls in rounds]
+    mbquad, cli, contours = runner.parwhit.mbquad, sys.modules["parwhit.cli"], []
+
+    def recorded(s, tol, auto_contour=mbquad.auto_contour):
+        c = auto_contour(s, tol)
+        contours.append([list(c.lines), c.half_extent, c.nodes_per_dim])
+        return c
+
+    mbquad.auto_contour = cli.auto_contour = recorded
+    outputs = []
+    for calls in json.load(sys.stdin):
+        outputs.append([])
+        for c in calls:
+            contours.clear()
+            outputs[-1].append({"outputs": getattr(runner, c["kind"])(c), "contours": list(contours)})
     sys.stdout.write(json.dumps(outputs) + "\n")
     return 0
+
+
+def within_estimate(run, call: dict, new: dict, old: dict) -> tuple[list[str], float]:
+    """(how the two sides' outputs of one call differ beyond --within-estimate, the largest
+    change/bound ratio of its numbers); run is perfbench/run.py, for cli_outcomes and _rel."""
+    if new["contours"] != old["contours"]:
+        return [f"contours {new['contours']} != {old['contours']}"], math.inf
+    if call["kind"] == "cli":
+        rc_new, rc_old = new["outputs"][0]["rc"], old["outputs"][0]["rc"]
+        if rc_new != rc_old:
+            return [f"exit code {rc_new} != {rc_old}"], math.inf
+        a, b = run.cli_outcomes(call, new["outputs"][0]), run.cli_outcomes(call, old["outputs"][0])
+    else:
+        a, b = new["outputs"], old["outputs"]
+    served = [(x, y) for x, y in zip(a, b) if "log_mag" in x and "log_mag" in y]
+    call_bound = max((min(x.get("est") or 0.0, y.get("est") or 0.0) for x, y in served), default=0.0)
+    problems, worst = [], 0.0
+    for x, y in zip(a, b):
+        if "error" in x or "error" in y:
+            if _NUMBER.sub("#", str(x.get("error"))) != _NUMBER.sub("#", str(y.get("error"))):
+                problems.append(f"refusal {x.get('error')!r} != {y.get('error')!r}")
+            continue
+        if x.keys() != y.keys():
+            problems.append(f"outcome {x} != {y}")
+            continue
+        if "log_mag" in x:
+            moves = [(run._rel(x, (y["log_mag"], y["phase"])),
+                      min(x.get("est") or 0.0, y.get("est") or 0.0), "value")]
+        else:
+            moves = [(0.0 if x[k] == y[k] else abs(x[k] - y[k]), (1.0 + abs(y[k])) * call_bound, k)
+                     if isinstance(y[k], float) else (float(x[k] != y[k]), 0.0, k) for k in x]
+        for change, bound, what in moves:
+            ratio = change / bound if bound > 0 else (0.0 if change == 0 else math.inf)
+            worst = max(worst, ratio)
+            if not change <= bound:
+                problems.append(f"{what} moved by {change:.3g}, beyond its bound {bound:.3g}")
+    return problems, worst
 
 
 def _run_side(checkout: str, rounds: list) -> list:
@@ -72,6 +140,8 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
                    help="a workload to compare; repeatable")
     p.add_argument("--seeds", type=_seeds, help="A-B, or one seed")
+    p.add_argument("--within-estimate", action="store_true",
+                   help="let each served value move within its relative estimate")
     a = p.parse_args(argv)
     if a.child:
         return _child(os.path.abspath(a.child))
@@ -83,17 +153,27 @@ def main(argv=None) -> int:
     rounds = [calls for _, _, calls in jobs]
     change = _run_side(os.path.dirname(PERFBENCH), rounds)
     baseline = _run_side(os.path.abspath(a.baseline), rounds)
+    run = _load("run") if a.within_estimate else None
     calls, differences = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
+    ratios = dict.fromkeys(names, 0.0)
     for (name, seed, round_calls), new, old in zip(jobs, change, baseline):
         calls[name] += len(round_calls)
         for k, (c, n, o) in enumerate(zip(round_calls, new, old)):
-            if n != o:
+            if run:
+                problems, ratio = within_estimate(run, c, n, o)
+                ratios[name] = max(ratios[name], ratio)
+            else:
+                problems = ["differs"] if _canonical(n) != _canonical(o) else []
+            if problems:
                 differences[name] += 1
-                print(f"{name} seed {seed}, call {k} ({c['kind']}): change {json.dumps(n)[:300]}\n"
-                      f"    baseline {json.dumps(o)[:300]}")
+                print(f"{name} seed {seed}, call {k} ({c['kind']}): {'; '.join(problems)}\n"
+                      f"    change {json.dumps(n)[:300]}\n    baseline {json.dumps(o)[:300]}")
     for name in names:
-        print(json.dumps({"workload": name, "seeds": f"{a.seeds.start}-{a.seeds.stop - 1}",
-                          "calls": calls[name], "differences": differences[name]}))
+        summary = {"workload": name, "seeds": f"{a.seeds.start}-{a.seeds.stop - 1}",
+                   "calls": calls[name], "differences": differences[name]}
+        if run:
+            summary["largest_change_over_estimate"] = ratios[name]
+        print(json.dumps(summary))
     return 1 if any(differences.values()) else 0
 
 

@@ -6,7 +6,8 @@ perfbench/worker.py calls the library through module attributes.  Both are
 loaded by path and run on each workload's reduced call set; nothing under
 perfbench/ is written.  scripts/estimates.py loads run.py and worker.py the
 same way and is run on two seeds; scripts/parity.py runs a `quad` and a
-`cli-sweep` round in this checkout against itself.
+`cli-sweep` round in this checkout against itself, bit for bit and within
+the estimates.
 """
 
 import importlib.util
@@ -112,3 +113,44 @@ def test_parity_script_finds_this_checkout_equal_to_itself():
     assert [json.loads(line) for line in p.stdout.splitlines()[-2:]] == [
         {"workload": "quad", "seeds": "801-801", "calls": 10, "differences": 0},
         {"workload": "cli-sweep", "seeds": "801-801", "calls": 6, "differences": 0}]
+
+
+def test_parity_within_estimate_finds_this_checkout_within_itself():
+    p = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "parity.py"), "--within-estimate",
+                        "--baseline", ROOT, "--workload", "quad", "--workload", "cli-sweep",
+                        "--seeds", "801"],
+                       capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                       timeout=300)
+    assert p.returncode == 0, p.stdout + p.stderr
+    assert [json.loads(line) for line in p.stdout.splitlines()[-2:]] == [
+        {"workload": "quad", "seeds": "801-801", "calls": 10, "differences": 0,
+         "largest_change_over_estimate": 0.0},
+        {"workload": "cli-sweep", "seeds": "801-801", "calls": 6, "differences": 0,
+         "largest_change_over_estimate": 0.0}]
+
+
+def test_parity_within_estimate_rejects_a_value_moved_beyond_its_estimate(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    spec = importlib.util.spec_from_file_location("parity", os.path.join(ROOT, "scripts", "parity.py"))
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    run = parity._load("run")
+    call = {"kind": "quad"}
+    contour = [[[1.5], 10.0, 98]]
+
+    def side(log_mag, est, error=None):
+        out = {"error": error} if error else {"log_mag": log_mag, "phase": 0.0, "est": est}
+        return {"outputs": [out], "contours": contour}
+
+    old = side(-2.0, 1e-10)
+    problems, ratio = parity.within_estimate(run, call, side(-2.0 + 0.5e-10, 2e-10), old)
+    assert problems == [] and 0.4 < ratio < 0.6
+    problems, ratio = parity.within_estimate(run, call, side(-2.0 + 2e-10, 1e-10), old)
+    assert len(problems) == 1 and 1.9 < ratio < 2.1
+    # a refusal must stay a refusal, with the same text up to its numbers
+    refused = side(0, 0, "QuadratureError: quadrature error estimate 2.1e-03 exceeds 1.0e-03")
+    assert parity.within_estimate(run, call, refused, old)[0]
+    moved = side(0, 0, "QuadratureError: quadrature error estimate 3.5e-03 exceeds 1.0e-03")
+    assert parity.within_estimate(run, call, moved, refused)[0] == []
+    assert parity.within_estimate(run, call, dict(old, contours=[[[1.5], 10.0, 99]]), old)[0]
