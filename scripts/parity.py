@@ -97,8 +97,8 @@ def within_estimate(run, call: dict, new: dict, old: dict) -> tuple[list[str], f
         a, b = run.cli_outcomes(call, new["outputs"][0]), run.cli_outcomes(call, old["outputs"][0])
     else:
         a, b = new["outputs"], old["outputs"]
-    served = [(x, y) for x, y in zip(a, b) if "log_mag" in x and "log_mag" in y]
-    call_bound = max((min(x.get("est") or 0.0, y.get("est") or 0.0) for x, y in served), default=0.0)
+    call_bound = max((min(x.get("est") or 0.0, y.get("est") or 0.0)
+                      for x, y in zip(a, b) if "log_mag" in x and "log_mag" in y), default=0.0)
     problems, worst = [], 0.0
     for x, y in zip(a, b):
         if "error" in x or "error" in y:
@@ -109,12 +109,12 @@ def within_estimate(run, call: dict, new: dict, old: dict) -> tuple[list[str], f
             problems.append(f"outcome {x} != {y}")
             continue
         if "log_mag" in x:
-            moves = [(run._rel(x, (y["log_mag"], y["phase"])),
-                      min(x.get("est") or 0.0, y.get("est") or 0.0), "value")]
-        else:
-            moves = [(0.0 if x[k] == y[k] else abs(x[k] - y[k]), (1.0 + abs(y[k])) * call_bound, k)
-                     if isinstance(y[k], float) else (float(x[k] != y[k]), 0.0, k) for k in x]
-        for change, bound, what in moves:
+            moves = [("value", run._rel(x, (y["log_mag"], y["phase"])),
+                      min(x.get("est") or 0.0, y.get("est") or 0.0))]
+        else:       # numbers derived from the call's values; a flag such as `passed` must not move
+            moves = [(k, 0.0 if x[k] == y[k] else abs(x[k] - y[k]),
+                      (1.0 + abs(y[k])) * call_bound if isinstance(y[k], float) else 0.0) for k in x]
+        for what, change, bound in moves:
             ratio = change / bound if bound > 0 else (0.0 if change == 0 else math.inf)
             worst = max(worst, ratio)
             if not change <= bound:

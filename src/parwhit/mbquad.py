@@ -19,9 +19,9 @@ trapezoid and the midpoint nodes, and shares them among the columns on it.
 Every node set (trapezoid, midpoint, truncation probe) is exactly symmetric
 about y = 0, and for real lambda the gamma product at c - i y is the
 conjugate of the one at c + i y, so _line_log evaluates the y >= 0 half of
-each table and conjugates it: the gamma work is about
-distinct lines x n/2 x N values.  Each column is one
-trapezoid sum, scaled in log space, and det M comes from slogdet.  On one
+each table and conjugates it: the gamma work is about distinct lines x n/2 x
+N values.  Each column is one trapezoid sum, scaled in log space, and det M
+comes from slogdet.  On one
 common line this is exactly the m-fold tensor trapezoid sum.  The error
 estimate adds, per column, the tail, weighted by the determinant's
 sensitivity to the column; the aliasing, as half the change of log det M
@@ -90,10 +90,10 @@ def _column_shifts(s: SpectralData) -> np.ndarray:
 
 
 def _line_log(s: SpectralData, c: float, y: np.ndarray) -> np.ndarray:
-    """sum_j log gamma1(c + i y - lambda_j) at nodes y with y[::-1] == -y: log W = -(x_k/hbar) gamma + this.
+    """sum_j log gamma1(gamma - lambda_j) at gamma = c + i y: log W = -(x_k/hbar) gamma + this.
 
-    The sum is evaluated on the y >= 0 half only; its value at -y is the conjugate (Schwarz
-    reflection for real lambda, bit for bit in scipy's complex loggamma).
+    The nodes must satisfy y[::-1] == -y.  The sum is evaluated on the y >= 0 half only; at -y
+    it is the conjugate (Schwarz reflection for real lambda, bit for bit in scipy's loggamma).
     """
     n = len(y)
     up = log_gamma1(c + 1j * y[n // 2:] - s.lam_array[:, None], s.hbar).sum(axis=0)
