@@ -12,7 +12,8 @@ summary line per workload, and exits 1 if any call differs.
 
 With --within-estimate, a change that moves values within their estimates
 passes: the contours, the CLI exit codes and the refusals (error texts with
-their numbers masked) must be equal, and each served value may move by at
+their numbers masked; for the CLI, the call's `error` and its `refusals`)
+must be equal, and each served value may move by at
 most the smaller of the two sides' relative estimates.  A value without an
 estimate (the asymptotic) must not move; a number derived from the values
 (the xval discrepancy) may move by (1 + |old|) times the call's largest
@@ -85,6 +86,15 @@ def _child(checkout: str) -> int:
     return 0
 
 
+def _cli_refusals(output: dict) -> str:
+    """The `error` and `refusals` of one CLI call's JSON stdout, numbers masked ("" for CSV)."""
+    try:
+        payload = json.loads(output["out"])
+    except json.JSONDecodeError:
+        return ""
+    return _NUMBER.sub("#", json.dumps([payload.get("error"), payload.get("refusals")]))
+
+
 def within_estimate(run, call: dict, new: dict, old: dict) -> tuple[list[str], float]:
     """(how the two sides' outputs of one call differ beyond --within-estimate, the largest
     change/bound ratio of its numbers); run is perfbench/run.py, for cli_outcomes and _rel."""
@@ -94,6 +104,9 @@ def within_estimate(run, call: dict, new: dict, old: dict) -> tuple[list[str], f
         rc_new, rc_old = new["outputs"][0]["rc"], old["outputs"][0]["rc"]
         if rc_new != rc_old:
             return [f"exit code {rc_new} != {rc_old}"], math.inf
+        if _cli_refusals(new["outputs"][0]) != _cli_refusals(old["outputs"][0]):
+            return [f"refusals {_cli_refusals(new['outputs'][0])} != "
+                    f"{_cli_refusals(old['outputs'][0])}"], math.inf
         a, b = run.cli_outcomes(call, new["outputs"][0]), run.cli_outcomes(call, old["outputs"][0])
     else:
         a, b = new["outputs"], old["outputs"]

@@ -133,29 +133,29 @@ def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
 
 
 def cmd_value(args: argparse.Namespace) -> dict:
-    """eval, asympt and xval: one record per method and the pairwise discrepancies.
+    """eval, asympt and xval: one record per served method and the pairwise discrepancies.
 
-    xval keeps going past an evaluator that refuses the instance: its record holds
-    the error in place of a value, and only the served values are compared.  The
-    command fails (with the first refusal) only when no evaluator serves.
+    An evaluator that refuses the instance leaves {method, error} under `refusals`
+    (present only then) and no record, so every record holds a value; only the
+    served values are compared.  The command fails (with the first refusal) only
+    when no evaluator serves.
     """
     s = _spectral(args, args.x)
     values, records, refusals = {}, [], []
     for method in _value_methods(args, s.x):
         try:
             values[method], rec = _evaluate(s, method)
+            records.append(rec)
         except (DomainError, QuadratureError) as exc:
-            if args.command != "xval":
-                raise
-            refusals.append(exc)
-            rec = {"inputs": _inputs(s), "method": method,
-                   "error": {"type": type(exc).__name__, "message": str(exc)}}
-        records.append(rec)
+            refusals.append((method, exc))
     if not values:
-        raise refusals[0]
+        raise refusals[0][1]
     discrepancies = {f"{a}/{b}": _rel_discrepancy(values[a], values[b])
                      for a, b in itertools.combinations(values, 2)}
     out = {"schema": SCHEMA_VERSION, "command": args.command, "records": records}
+    if refusals:
+        out["refusals"] = [{"method": method, "error": {"type": type(exc).__name__, "message": str(exc)}}
+                           for method, exc in refusals]
     if args.command == "xval":
         out["discrepancies"] = discrepancies
     elif discrepancies:

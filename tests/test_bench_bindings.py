@@ -86,6 +86,21 @@ def test_cli_import_loads_no_gz_module():
     assert p.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv,n", [(("xval",), 4), (("eval", "--method", "both"), 2)],
+                         ids=["xval", "eval-both"])
+def test_run_counts_a_call_with_a_refused_evaluator_as_failed(bench, capsys, argv, n):
+    # at the default lambda = (0, 0) the series (and xval's asymptotic) refuse and the quadrature
+    # serves; every record holds a value, so run.py's reader fails the call's values, not itself
+    from parwhit.cli import main
+    assert main([*argv, "--m", "1", "--N", "2", "--x", "-1"]) == 0
+    spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(PERFBENCH, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    call = {"kind": "cli", "argv": list(argv), "values": [{"check": "mb"}] * n}
+    assert run.cli_outcomes(call, {"rc": 0, "out": capsys.readouterr().out}) == [
+        {"error": "record count"}] * n
+
+
 def test_estimates_script_checks_two_seeds():
     # scripts/estimates.py runs one round per seed through perfbench's own checks;
     # quad seed 813 holds a row whose error is round-off within 1.5x of the old estimate
@@ -154,3 +169,15 @@ def test_parity_within_estimate_rejects_a_value_moved_beyond_its_estimate(monkey
     moved = side(0, 0, "QuadratureError: quadrature error estimate 3.5e-03 exceeds 1.0e-03")
     assert parity.within_estimate(run, call, moved, refused)[0] == []
     assert parity.within_estimate(run, call, dict(old, contours=[[[1.5], 10.0, 99]]), old)[0]
+    # a CLI call keeps each evaluator's refusal, up to its numbers
+    cli = {"kind": "cli", "argv": ["eval"], "values": [{"check": "mb"}] * 2}
+
+    def cli_side(error_type, estimate):
+        out = {"schema": 1, "records": [], "refusals": [{"method": "residue", "error": {
+            "type": error_type, "message": f"estimate {estimate} exceeds 1e-3"}}]}
+        return {"outputs": [{"rc": 0, "out": json.dumps(out)}], "contours": contour}
+
+    assert parity.within_estimate(run, cli, cli_side("DomainError", 2e-3),
+                                  cli_side("DomainError", 4e-3))[0] == []
+    assert parity.within_estimate(run, cli, cli_side("GenericityError", 2e-3),
+                                  cli_side("DomainError", 2e-3))[0]

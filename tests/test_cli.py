@@ -272,19 +272,35 @@ class TestXval:
         code, out = run(capsys, "xval", "--m", "1", "--N", "2", "--x", "-1")
         assert code == EXIT_OK
         payload = json.loads(out)
-        mb, residue, asym = payload["records"]
+        (mb,) = payload["records"]
         assert dict(mb, wall_time=0.0) == dict(ev, wall_time=0.0)
-        assert residue["error"]["type"] == "GenericityError"
-        assert asym["error"]["type"] == "PoleError"
-        assert set(residue) == set(asym) == {"inputs", "method", "error"}
-        assert residue["inputs"] == mb["inputs"]
+        residue, asym = payload["refusals"]
+        assert residue == {"method": "residue", "error": {"type": "GenericityError",
+                                                          "message": residue["error"]["message"]}}
+        assert asym["method"] == "asymptotic" and asym["error"]["type"] == "PoleError"
         assert payload["discrepancies"] == {}
+
+    def test_no_refusals_key_when_every_evaluator_serves(self, capsys):
+        _, out = run(capsys, "xval", "--m", "1", "--N", "3", "--lambda", "0.7,0,-0.9", "--x", "-5")
+        assert "refusals" not in json.loads(out)
 
     def test_no_evaluator_serves_exit3(self, capsys):
         # the quadrature hits its node cap and the asymptotic a pole: the first refusal is reported
         code, out = run(capsys, "xval", "--x", "1e308")
         assert code == EXIT_DOMAIN
         assert json.loads(out)["error"]["type"] == "QuadratureError"
+
+    def test_eval_both_keeps_the_quadrature_when_the_series_refuses(self, capsys):
+        _, out = run(capsys, "eval", "--m", "1", "--N", "2", "--x", "-1")
+        (ev,) = json.loads(out)["records"]
+        code, out = run(capsys, "eval", "--method", "both", "--m", "1", "--N", "2", "--x", "-1")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        (mb,) = payload["records"]
+        assert dict(mb, wall_time=0.0) == dict(ev, wall_time=0.0)
+        assert [(r["method"], r["error"]["type"]) for r in payload["refusals"]] == [
+            ("residue", "GenericityError")]
+        assert "discrepancy" not in payload
 
     def test_xval_and_sweep_agree_with_eval_and_asympt(self, capsys):
         from parwhit import LogComplex
