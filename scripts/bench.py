@@ -4,11 +4,13 @@
 Runs `perfbench/run.py --trace 0` for every workload of BENCHMARK.json (or
 for each one named with --workload, which may be repeated), for its
 `run_seconds`, over the fixed seeds 801-810, and writes, per workload,
-the median, q1 and q3 of each end-to-end metric, the share of failed
-operations, the commit and `nproc` to BENCH_<pr>.json at the checkout root.
-With --baseline, the same runs are made in a second checkout (the parent
-commit), in pairs whose order alternates from seed to seed, and both sides
-go into the file.  A run narrowed by --workload writes its own file,
+the median, q1 and q3 of each end-to-end metric, its values sorted and in
+seed order, the share of failed operations, the commit and `nproc` to
+BENCH_<pr>.json at the checkout root.  With --baseline, the same runs are made
+in a second checkout (the parent commit), in pairs whose order alternates from
+seed to seed, and both sides go into the file, with a `pairs` block per
+workload and metric: the change/parent ratio of each seed's pair and the
+number of seeds on which the change is better.  A run narrowed by --workload writes its own file,
 BENCH_<pr>.<workload>.json (names joined by "+"), and leaves BENCH_<pr>.json
 as it is.
 
@@ -57,10 +59,24 @@ def summarize(runs: list[dict], metric_names: list[str]) -> dict:
            "all_correct": all(r["correct"] for r in runs),
            "metrics": {}}
     for name in metric_names:
-        vals = sorted(r["metrics"][name]["value"] for r in runs)
+        by_seed = [r["metrics"][name]["value"] for r in runs]
+        vals = sorted(by_seed)
         q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
         out["metrics"][name] = {"median": med, "q1": q1, "q3": q3,
-                                "unit": runs[0]["metrics"][name]["unit"], "values": vals}
+                                "unit": runs[0]["metrics"][name]["unit"], "values": vals,
+                                "by_seed": by_seed}
+    return out
+
+
+def pairs(change: dict, parent: dict, better: dict) -> dict:
+    """Per metric, the change/parent ratio of each seed and the seeds on which the change is
+    better (`better` maps a metric to "lower" or "higher")."""
+    out = {}
+    for name, sign in better.items():
+        c, p = change["metrics"][name]["by_seed"], parent["metrics"][name]["by_seed"]
+        wins = sum((a < b) if sign == "lower" else (a > b) for a, b in zip(c, p))
+        out[name] = {"ratios": [a / b if b else None for a, b in zip(c, p)],
+                     "change_better": wins, "seeds": len(c)}
     return out
 
 
@@ -78,6 +94,7 @@ def main(argv=None) -> int:
     if a.baseline:
         sides["parent"] = os.path.abspath(a.baseline)
     names = [m["name"] for m in bench["end_to_end"]]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     result = {"pr": a.pr, "seeds": list(SEEDS), "seconds": seconds,
               "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
@@ -94,6 +111,9 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}", file=sys.stderr, flush=True)
         for side in sides:
             result["sides"][side]["workloads"][workload] = summarize(runs[side], names)
+        if a.baseline:
+            result.setdefault("pairs", {})[workload] = pairs(
+                *(result["sides"][side]["workloads"][workload] for side in ("change", "parent")), better)
 
     suffix = "." + "+".join(workloads) if a.workload else ""
     path = os.path.join(ROOT, f"BENCH_{a.pr}{suffix}.json")

@@ -20,13 +20,19 @@ Every node set (trapezoid, midpoint, truncation probe) is exactly symmetric
 about y = 0, and for real lambda the gamma product at c - i y is the
 conjugate of the one at c + i y, so _line_log evaluates the y >= 0 half of
 each table and conjugates it: the gamma work is about distinct lines x n/2 x
-N values.  Each column is one trapezoid sum, scaled in log space, and det M
-comes from slogdet.  On one
-common line this is exactly the m-fold tensor trapezoid sum.  The error
-estimate adds, per column, the tail, weighted by the determinant's
-sensitivity to the column; the aliasing, as half the change of log det M
-from the trapezoid to the midpoint rule on the same line; and the round-off
-of each node's terms of log W, weighted by the node's share
+N values.  The per-node size of the gamma terms is even in y and is computed
+on the same half.  eval_mb derives column m-1-k > k from column k whenever
+their lines are equal (a hand-set contour whose mirror lines differ
+evaluates both): its row i is (-1)^i times the conjugate of column k's, its
+scale and tail are column k's, and its node terms are column k's reversed
+and conjugated.  auto_contour probes the rungs of its truncation ladder
+eight at a time, in one log_gamma1 call, and keeps the first that passes.
+Each column is one trapezoid sum, scaled in log space, and det M comes from
+slogdet.  On one common line this is exactly the m-fold tensor trapezoid
+sum.  The error estimate adds, per column, the tail, weighted by the
+determinant's sensitivity to the column; the aliasing, as half the change of
+log det M from the trapezoid to the midpoint rule on the same line; and the
+round-off of each node's terms of log W, weighted by the node's share
 G[y] F[y] M^-1[:,k] of log det M.
 """
 
@@ -55,6 +61,10 @@ _CANCEL_BUDGET = 10.0
 #: the truncation probe's nodes on [-1, 1], exact dyadics symmetric about 0
 _PROBE_GRID = np.linspace(-1.0, 1.0, 33)
 _GROWTH = 1.5
+
+#: rungs of the truncation ladder probed in one log_gamma1 call: 8 reach T = 2 hbar 1.5^7, about
+#: 34 hbar, which is as far as the benchmark's instances climb
+_PROBE_CHUNK = 8
 
 #: margin of the truncation probe below tol: an outer column decays only like e^{-pi |t| / 2}
 _TAIL_MARGIN = 1e-4
@@ -89,15 +99,22 @@ def _column_shifts(s: SpectralData) -> np.ndarray:
     return s.x + 1j * math.pi * (2 * np.arange(s.m) - s.m + 1)
 
 
+def _mirror(up: np.ndarray, n: int) -> np.ndarray:
+    """The n-node table whose y >= 0 half (its last n - n // 2 entries, along the last axis) is
+    up and whose value at -y is the conjugate of that at y."""
+    return np.concatenate([up[..., ::-1][..., :n // 2].conj(), up], axis=-1)
+
+
 def _line_log(s: SpectralData, c: float, y: np.ndarray) -> np.ndarray:
     """sum_j log gamma1(gamma - lambda_j) at gamma = c + i y: log W = -(x_k/hbar) gamma + this.
 
-    The nodes must satisfy y[::-1] == -y.  The sum is evaluated on the y >= 0 half only; at -y
-    it is the conjugate (Schwarz reflection for real lambda, bit for bit in scipy's loggamma).
+    The nodes, along the last axis of y, must satisfy y[..., ::-1] == -y.  The sum is evaluated
+    on the y >= 0 half only; at -y it is the conjugate (Schwarz reflection for real lambda, bit
+    for bit in scipy's loggamma).
     """
-    n = len(y)
-    up = log_gamma1(c + 1j * y[n // 2:] - s.lam_array[:, None], s.hbar).sum(axis=0)
-    return np.concatenate([up[::-1][:n // 2].conj(), up])
+    n = y.shape[-1]
+    lam = s.lam_array.reshape((-1,) + (1,) * y.ndim)
+    return _mirror(log_gamma1(c + 1j * y[..., n // 2:] - lam, s.hbar).sum(axis=0), n)
 
 
 def eval_mb(
@@ -123,18 +140,29 @@ def eval_mb(
     S = max(abs(complex(ck, c.half_extent)) for ck in c.lines)
     M, Mid = np.empty((2, m, m), dtype=complex)
     log_scale, tails = np.empty((2, m))
+    # row i of column m-1-k is (-1)^i conj of column k's on a common line (x_{m-1-k} = conj(x_k))
+    mirror = (-1.0) ** np.arange(m)
     tables, cols = {}, []
     for k, (xk, ck) in enumerate(zip(_column_shifts(s), c.lines)):
+        j = m - 1 - k
+        if j < k and c.lines[j] == ck:
+            M[:, k], Mid[:, k] = mirror * M[:, j].conj(), mirror * Mid[:, j].conj()
+            log_scale[k], tails[k] = log_scale[j], tails[j]
+            G, F, size = cols[j]
+            cols.append((G[::-1].conj(), F, size[::-1]))
+            continue
         if ck not in tables:
             # what the columns on this line share: the nodes, their gamma products and monomial
             # rows, on the trapezoid nodes g and on the midpoint rule's gm, whose aliasing error
             # is the trapezoid's with the opposite sign (Poisson summation), so that half their
-            # difference is the trapezoid's; and the size of the gamma terms of log W per node
+            # difference is the trapezoid's; and the size of the gamma terms of log W per node,
+            # which is even in y
             g, gm = ck + 1j * y, ck + 1j * ym
-            w = np.abs(g - s.lam_array[:, None]) / h
+            w = np.abs(g[n // 2:] - s.lam_array[:, None]) / h
+            size = (w * (abs(math.log(h)) + np.abs(np.log(w)) + math.pi + 1.0)).sum(axis=0)
             tables[ck] = (g, _line_log(s, ck, y), (-1j * g / S)[:, None] ** np.arange(m),
                           gm, _line_log(s, ck, ym), (-1j * gm / S)[:, None] ** np.arange(m),
-                          (w * (abs(math.log(h)) + np.abs(np.log(w)) + math.pi + 1.0)).sum(axis=0))
+                          _mirror(size, n))
         g, lg, F, gm, lgm, Fm, size = tables[ck]
         A = -(xk / h) * g + lg + logw
         log_scale[k] = A.real.max()
@@ -153,6 +181,9 @@ def eval_mb(
 
     sign, logdet = np.linalg.slogdet(M)
     if sign == 0:
+        if max_rel_err is not None:
+            raise QuadratureError("the column matrix M is singular: the quadrature has no value "
+                                  "to serve on this contour")
         return MBResult(LogComplex.zero(), math.inf, c)
     pairs = m * (m - 1) // 2
     log_mag = (float(logdet) + float(log_scale.sum()) + math.lgamma(m + 1)
@@ -222,7 +253,10 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     fall 1e-4 tol below its peak, less a floored line's cancellation.  Column
     m-1-k is column k conjugated: its saddle is the conjugate (bit for bit),
     its probe is column k's reversed, so each conjugate pair is solved and
-    probed once and lines[m-1-k] == lines[k].  A node
+    probed once and lines[m-1-k] == lines[k].  The rungs T = 2 hbar 1.5^j up
+    to the cap are probed _PROBE_CHUNK at a time, in one log_gamma1 call on a
+    (rungs x 17) half grid, and the first that passes is taken: the same T as
+    one rung at a time.  A node
     count above MAX_NODES_PER_DIM is refused before anything is allocated, and
     before the saddles are solved when the coarsest step allows none at T = 2 hbar.
     """
@@ -262,16 +296,20 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     T = 0.0
     for xk, ck in zip(xs, half):
         gap = max(0.0, -s.x) * (ck - s.lam_max) / h   # cancellation of a floored line
-        t = 2.0 * h
-        while True:
-            if t > 200.0 * s.N * max(h, ck - s.lam_max):
-                raise QuadratureError(
-                    f"no contour truncation below T = {t:.3g} reached boundary decay {tol:g}; "
-                    "the integrand decays too slowly (check the instance scale)")
-            y = t * _PROBE_GRID
-            a = (-(xk / h) * (ck + 1j * y) + _line_log(s, ck, y)).real
-            if max(a[0], a[-1]) <= math.log(_TAIL_MARGIN * tol) + a.max() - gap:
-                break
+        ladder, t = [], 2.0 * h
+        while t <= 200.0 * s.N * max(h, ck - s.lam_max):
+            ladder.append(t)
             t *= _GROWTH
-        T = max(T, t)
+        for i in range(0, len(ladder), _PROBE_CHUNK):
+            y = np.array(ladder[i:i + _PROBE_CHUNK])[:, None] * _PROBE_GRID
+            a = (-(xk / h) * (ck + 1j * y) + _line_log(s, ck, y)).real
+            passed = np.flatnonzero(np.maximum(a[:, 0], a[:, -1])
+                                    <= math.log(_TAIL_MARGIN * tol) + a.max(axis=1) - gap)
+            if passed.size:
+                T = max(T, ladder[i + passed[0]])
+                break
+        else:
+            raise QuadratureError(
+                f"no contour truncation below T = {t:.3g} reached boundary decay {tol:g}; "
+                "the integrand decays too slowly (check the instance scale)")
     return ContourConfig(lines, T, nodes(T, step_for(min(lines) - s.lam_max)))

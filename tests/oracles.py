@@ -4,7 +4,8 @@ These deliberately avoid the library's own gamma/quadrature machinery:
 k0_series is the textbook convergent expansion of the modified Bessel
 function; homogeneous_poly enumerates monomials directly; integrand is the
 Mellin-Barnes integrand at one point of C^m and tensor_trapezoid sums it
-node by node over the full n^m grid;
+node by node over the full n^m grid; ladder_half_extent climbs the
+contour's truncation ladder one rung and one scipy call at a time;
 gz_measure evaluates the Gelfand-Zetlin pairing measure factor by factor;
 plain_operator_deviation applies two operators to one array at a time, with
 no memo of symbols or test-function values.
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from parwhit import LogComplex
-from parwhit.errors import ConfigError, PoleError
+from parwhit.errors import ConfigError, PoleError, QuadratureError
 from parwhit.gz import TriangularArray, random_array
 from parwhit.gz.identity import random_test_function
 
@@ -183,6 +184,33 @@ def tensor_trapezoid(m, lam, hbar, x, epsilon, half_extent, nodes) -> tuple[comp
     W = np.exp(L - peak).ravel()
     total = math.fsum(W.real) + 1j * math.fsum(W.imag)
     return peak + np.log(total), math.fsum(np.abs(W)) / abs(total)
+
+
+def ladder_half_extent(s, lines, tol: float) -> float:
+    """The truncation T of the contour with these lines, one rung of the ladder at a time.
+
+    T = 2 hbar 1.5^k grows until, on each line k < (m + 1) / 2, the end nodes of the probe
+    t linspace(-1, 1, 33) fall 1e-4 tol below the probe's peak, less the cancellation
+    |x| (line - max(lambda)) / hbar of a line left of x = 0.  A rung beyond
+    200 N max(hbar, line - max(lambda)) raises QuadratureError with the rung in its message.
+    """
+    h, lam = s.hbar, np.array(s.lam)
+    shifts = s.x + 1j * math.pi * (2 * np.arange(s.m) - s.m + 1)
+    T = 0.0
+    for xk, ck in list(zip(shifts, lines))[:(s.m + 1) // 2]:
+        gap = max(0.0, -s.x) * (ck - max(s.lam)) / h
+        t = 2.0 * h
+        while True:
+            if t > 200.0 * s.N * max(h, ck - max(s.lam)):
+                raise QuadratureError(f"no contour truncation below T = {t:.3g}")
+            g = ck + 1j * (t * np.linspace(-1.0, 1.0, 33))
+            z = (g - lam[:, None]) / h
+            a = (-(xk / h) * g + (z * math.log(h) + loggamma(z)).sum(axis=0)).real
+            if max(a[0], a[-1]) <= math.log(1e-4 * tol) + a.max() - gap:
+                break
+            t *= 1.5
+        T = max(T, t)
+    return T
 
 
 #: spectra of the frozen references below (hbar = 1)

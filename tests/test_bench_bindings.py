@@ -181,3 +181,27 @@ def test_parity_within_estimate_rejects_a_value_moved_beyond_its_estimate(monkey
                                   cli_side("DomainError", 4e-3))[0] == []
     assert parity.within_estimate(run, cli, cli_side("GenericityError", 2e-3),
                                   cli_side("DomainError", 2e-3))[0]
+
+
+def test_bench_script_records_pairs_in_seed_order():
+    # scripts/bench.py keeps each side's values in seed order and, per metric, the
+    # change/parent ratio of each seed's pair and the seeds where the change is better
+    spec = importlib.util.spec_from_file_location("scripts_bench",
+                                                  os.path.join(ROOT, "scripts", "bench.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def runs(walls, digits):
+        return [{"failed": 0, "attempted": 1, "correct": True,
+                 "metrics": {"wall_s": {"value": w, "unit": "s"},
+                             "digits_min": {"value": d, "unit": "digits"}}}
+                for w, d in zip(walls, digits)]
+
+    names = ["wall_s", "digits_min"]
+    change = bench.summarize(runs([2.0, 1.0, 3.0, 2.0], [11.0, 12.0, 10.0, 11.0]), names)
+    parent = bench.summarize(runs([4.0, 2.0, 2.0, 2.5], [10.0, 12.0, 11.0, 10.0]), names)
+    assert change["metrics"]["wall_s"]["by_seed"] == [2.0, 1.0, 3.0, 2.0]
+    assert change["metrics"]["wall_s"]["values"] == [1.0, 2.0, 2.0, 3.0]
+    got = bench.pairs(change, parent, {"wall_s": "lower", "digits_min": "higher"})
+    assert got["wall_s"] == {"ratios": [0.5, 0.5, 1.5, 0.8], "change_better": 3, "seeds": 4}
+    assert got["digits_min"]["change_better"] == 2

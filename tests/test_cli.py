@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import parwhit.gz.whittaker
@@ -170,6 +171,14 @@ class TestEval:
                         "--x", "1e308")
         assert code == EXIT_DOMAIN
         assert "cap" in json.loads(out)["error"]["message"]
+
+    def test_singular_column_matrix_exit3(self, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "slogdet", lambda M: (0.0, -np.inf))
+        code, out = run(capsys, "eval", "--m", "2", "--N", "4", "--lambda", "0.9,0.4,-0.3,-1.15",
+                        "--x", "-2", "--method", "mb")
+        assert code == EXIT_DOMAIN
+        error = json.loads(out)["error"]
+        assert error["type"] == "QuadratureError" and "singular" in error["message"]
 
     def test_saddle_beyond_reach_exit3(self, capsys):
         # at x = 100 the saddle lies near e^50, where log W holds terms of about e^55

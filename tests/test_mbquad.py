@@ -13,7 +13,7 @@ from scipy.special import digamma
 
 from oracles import (BESSEL_LOG_REFERENCE, BESSEL_REFERENCE, FROZEN_LAMBDA, PSI_REFERENCE,
                      PSI_SPECTRA, ROUND_OFF_REFERENCE, SADDLE_REFERENCE, integrand, k0_series,
-                     quad_serves, tensor_trapezoid)
+                     ladder_half_extent, quad_serves, tensor_trapezoid)
 
 
 def bessel_instance(x=0.0):
@@ -92,6 +92,33 @@ class TestAutoContour:
             s = SpectralData(m=m, N=N, lam=FROZEN_LAMBDA[N], hbar=hbar, x=x)
             for xk in mbquad._column_shifts(s):
                 assert mbquad._saddle(s, xk.conjugate()) == mbquad._saddle(s, xk).conjugate()
+
+    @pytest.mark.parametrize("m,N", [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 5), (3, 6)])
+    def test_chunked_probe_climbs_the_ladder_rung_by_rung(self, m, N):
+        # probing eight rungs per log_gamma1 call picks the rung the one-rung ladder picks,
+        # bit for bit, at every frozen-grid point auto_contour serves
+        served = 0
+        for hbar in (0.1, 0.2, 0.4, 0.7, 1.0, 1.3):
+            for x in (-6.0, -3.0, -1.0, -0.3, 0.5, 2.0, 5.0, 8.0):
+                s = SpectralData(m=m, N=N, lam=FROZEN_LAMBDA[N], hbar=hbar, x=x)
+                try:
+                    c = auto_contour(s, 1e-9)
+                except QuadratureError:
+                    continue
+                served += 1
+                assert c.half_extent == ladder_half_extent(s, c.lines, 1e-9)
+        assert served >= 40
+
+    def test_ladder_past_its_cap_is_refused(self):
+        # far left of x = 0 a floored line cancels e^{|x| offset / hbar}, and no rung below
+        # 200 N hbar clears it: the chunked probe refuses at the one-rung ladder's first rung
+        s = SpectralData(m=1, N=2, lam=(0.3, -0.2), hbar=1.0, x=-1e4)
+        lines = (s.lam_max + mbquad._contour_offset(s),)
+        with pytest.raises(QuadratureError) as want:
+            ladder_half_extent(s, lines, 1e-9)
+        with pytest.raises(QuadratureError, match="no contour truncation below T = ") as got:
+            auto_contour(s, 1e-9)
+        assert str(want.value) in str(got.value)
 
     def test_offset_shrinks_for_strongly_negative_x(self):
         s = SpectralData(m=3, N=5, lam=(0.62, 0.31, 0.0, -0.33, -0.67), hbar=1.0, x=-5.0)
@@ -211,6 +238,34 @@ class TestEvalMB:
         assert len(calls) == 6
         ref = eval_mb(s, c)
         assert abs((r.value / ref.value).to_complex() - 1.0) <= r.error_estimate + ref.error_estimate
+
+    @pytest.mark.parametrize("x", [-5.0, -1.0, 2.0])
+    @pytest.mark.parametrize("m,N", [(2, 4), (2, 5), (3, 5), (3, 6)])
+    def test_mirror_column_is_derived_from_its_conjugate(self, monkeypatch, m, N, x):
+        # the last column's line moved by one ulp is evaluated directly; on the auto_contour
+        # contour it is the first column conjugated
+        s = SpectralData(m=m, N=N, lam=FROZEN_LAMBDA[N], hbar=1.0, x=x)
+        c = auto_contour(s, 1e-9)
+        lines = c.lines[:-1] + (float(np.nextafter(c.lines[-1], np.inf)),)
+        nudged = ContourConfig(lines, c.half_extent, c.nodes_per_dim)
+        folded, direct = eval_mb(s, c), eval_mb(s, nudged)
+        change = abs((folded.value / direct.value).to_complex() - 1.0)
+        assert change <= min(folded.error_estimate, direct.error_estimate)
+        # the aliasing term, half of Mid - M, is at round-off here and moves by up to 3x with
+        # the ulp; the tail and round-off terms of the mirror column are column 0's
+        monkeypatch.setattr(mbquad, "_ALIAS_MARGIN", 0.0)
+        folded, direct = eval_mb(s, c), eval_mb(s, nudged)
+        assert folded.error_estimate == pytest.approx(direct.error_estimate, rel=1e-6, abs=0.0)
+
+    def test_singular_column_matrix_is_refused(self, monkeypatch):
+        # a vanishing det M has no log to serve: refused unless the check is off
+        s = SpectralData(m=2, N=4, lam=(0.9, 0.4, -0.3, -1.15), hbar=1.0, x=-2.0)
+        c = auto_contour(s, 1e-9)
+        monkeypatch.setattr(np.linalg, "slogdet", lambda M: (0.0, -np.inf))
+        with pytest.raises(QuadratureError, match="singular"):
+            eval_mb(s, c)
+        r = eval_mb(s, c, max_rel_err=None)
+        assert r.value.is_zero and r.error_estimate == math.inf
 
     def test_doubling_change_within_reported_bound(self):
         for (m, N, lam, x) in [(1, 2, (0.0, 0.0), -2.0),
