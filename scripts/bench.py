@@ -10,9 +10,9 @@ BENCH_<pr>.json at the checkout root.  With --baseline, the same runs are made
 in a second checkout (the parent commit), in pairs whose order alternates from
 seed to seed, and both sides go into the file, with a `pairs` block per
 workload and metric: the change/parent ratio of each seed's pair and the
-number of seeds on which the change is better.  A run narrowed by --workload writes its own file,
-BENCH_<pr>.<workload>.json (names joined by "+"), and leaves BENCH_<pr>.json
-as it is.
+number of seeds on which the change is better.  A run narrowed by --workload
+writes its own file, BENCH_<pr>.<workload>.json (names joined by "+"), and
+leaves BENCH_<pr>.json as it is.
 
     python3 scripts/bench.py --pr 6 --baseline ../parent
     python3 scripts/bench.py --pr 6 --baseline ../parent --workload gz-verify
@@ -109,11 +109,11 @@ def main(argv=None) -> int:
                 runs[side].append(r)
                 wall = r["metrics"]["wall_s"]["value"]
                 print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}", file=sys.stderr, flush=True)
+        summary = {side: summarize(runs[side], names) for side in sides}
         for side in sides:
-            result["sides"][side]["workloads"][workload] = summarize(runs[side], names)
+            result["sides"][side]["workloads"][workload] = summary[side]
         if a.baseline:
-            result.setdefault("pairs", {})[workload] = pairs(
-                *(result["sides"][side]["workloads"][workload] for side in ("change", "parent")), better)
+            result.setdefault("pairs", {})[workload] = pairs(summary["change"], summary["parent"], better)
 
     suffix = "." + "+".join(workloads) if a.workload else ""
     path = os.path.join(ROOT, f"BENCH_{a.pr}{suffix}.json")

@@ -69,6 +69,9 @@ _PROBE_CHUNK = 8
 #: margin of the truncation probe below tol: an outer column decays only like e^{-pi |t| / 2}
 _TAIL_MARGIN = 1e-4
 
+#: the end nodes and their inner neighbours, whose sizes give a column's tail
+_ENDS = [0, -1, 1, -2]
+
 #: margin of the aliasing term over half the change from the trapezoid to the midpoint rule
 _ALIAS_MARGIN = 10.0
 
@@ -169,10 +172,9 @@ def eval_mb(
         G = np.exp(A - log_scale[k])
         M[:, k] = G @ F
         Mid[:, k] = np.exp(-(xk / h) * gm + lgm + logw[1] - log_scale[k]) @ Fm
-        absF = np.linalg.norm(F, axis=1) * np.abs(G)
         # the end nodes carry half weight; beyond them the nodes decay by q each
-        end = absF[[0, -1]]
-        q = np.divide(2.0 * end, absF[[1, -2]], out=np.zeros(2), where=end > 0)
+        end, inner = (np.linalg.norm(F[_ENDS], axis=1) * np.abs(G[_ENDS])).reshape(2, 2)
+        q = np.divide(2.0 * end, inner, out=np.zeros(2), where=end > 0)
         more = np.divide(1.0 + q, 1.0 - q, out=np.full(2, np.inf), where=q < 1.0)
         tails[k] = end @ np.maximum(2.0 * h / c.step, more)
         # per node, the size of the terms of log W (x_k gamma / hbar, w log hbar + loggamma(w)):
@@ -296,8 +298,8 @@ def auto_contour(s: SpectralData, tol: float) -> ContourConfig:
     T = 0.0
     for xk, ck in zip(xs, half):
         gap = max(0.0, -s.x) * (ck - s.lam_max) / h   # cancellation of a floored line
-        ladder, t = [], 2.0 * h
-        while t <= 200.0 * s.N * max(h, ck - s.lam_max):
+        ladder, t, cap = [], 2.0 * h, 200.0 * s.N * max(h, ck - s.lam_max)
+        while t <= cap:
             ladder.append(t)
             t *= _GROWTH
         for i in range(0, len(ladder), _PROBE_CHUNK):

@@ -7,7 +7,8 @@ loaded by path and run on each workload's reduced call set; nothing under
 perfbench/ is written.  scripts/estimates.py loads run.py and worker.py the
 same way and is run on two seeds; scripts/parity.py runs a `quad` and a
 `cli-sweep` round in this checkout against itself, bit for bit and within
-the estimates.
+the estimates.  scripts/bench.py's seed-order values and pairs are checked on
+made-up runs.
 """
 
 import importlib.util
