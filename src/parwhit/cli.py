@@ -10,6 +10,7 @@ Subcommands:
 The flags are the only input.  COMMANDS names each subcommand's handler
 and the flags it reads; a flag the command does not read is refused
 (exit 2), and the parsed namespace is the handler's whole configuration.
+eval, asympt, xval and sweep serve their methods through one loop, _serve.
 JSON is the canonical output format, strict: a non-finite float is written
 as null.  CSV is offered for sweeps.  Exit codes: 0 success,
 2 configuration error, 3 numerical-domain error, 4 verification failure.
@@ -29,8 +30,7 @@ from typing import NoReturn
 
 from . import __version__
 from .asympt import leading_asymptotic
-from .errors import (ConfigError, DomainError, ParwhitError, QuadratureError,
-                     VerificationError)
+from .errors import ConfigError, DomainError, QuadratureError, VerificationError
 from .logcomplex import LogComplex, rescaled_sum
 from .mbquad import auto_contour, eval_mb
 from .residues import eval_residue_series
@@ -90,10 +90,6 @@ def _value_payload(v: LogComplex) -> dict:
     return out
 
 
-def _inputs(s: SpectralData) -> dict:
-    return {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x}
-
-
 def _evaluate(s: SpectralData, method: str) -> tuple[LogComplex, dict]:
     """One value by method ("mb", "residue" or "asymptotic") and its timed record."""
     t0 = time.perf_counter()
@@ -108,8 +104,8 @@ def _evaluate(s: SpectralData, method: str) -> tuple[LogComplex, dict]:
         diagnostics = {"orders_summed": res.orders_summed, "terms": res.terms}
     else:
         value, err = leading_asymptotic(s), 0.0
-    return value, {"inputs": _inputs(s), "method": method,
-                   "value": _value_payload(value), "error_estimate": err,
+    return value, {"inputs": {"m": s.m, "N": s.N, "lambda": list(s.lam), "hbar": s.hbar, "x": s.x},
+                   "method": method, "value": _value_payload(value), "error_estimate": err,
                    "wall_time": time.perf_counter() - t0, "library_version": __version__,
                    "diagnostics": diagnostics}
 
@@ -132,30 +128,36 @@ def _rel_discrepancy(a: LogComplex, b: LogComplex) -> float:
     return math.exp(diff.log_mag - a.log_mag) if not diff.is_zero else 0.0
 
 
-def cmd_value(args: argparse.Namespace) -> dict:
-    """eval, asympt and xval: one record per served method and the pairwise discrepancies.
-
-    An evaluator that refuses the instance leaves {method, error} under `refusals`
-    (present only then) and no record, so every record holds a value; only the
-    served values are compared.  The command fails (with the first refusal) only
-    when no evaluator serves.
-    """
-    s = _spectral(args, args.x)
-    values, records, refusals = {}, [], []
-    for method in _value_methods(args, s.x):
+def _serve(args: argparse.Namespace, x: float, methods: list[str]) -> tuple[dict, dict]:
+    """{method: (value, record)} of the methods that serve at x, {method: error} of those that refuse:
+    a route with its DomainError or QuadratureError, every method with the ConfigError of an invalid x."""
+    try:
+        s = _spectral(args, x)
+    except ConfigError as exc:
+        return {}, dict.fromkeys(methods, exc)
+    served, refused = {}, {}
+    for method in methods:
         try:
-            values[method], rec = _evaluate(s, method)
-            records.append(rec)
+            served[method] = _evaluate(s, method)
         except (DomainError, QuadratureError) as exc:
-            refusals.append((method, exc))
-    if not values:
-        raise refusals[0][1]
-    discrepancies = {f"{a}/{b}": _rel_discrepancy(values[a], values[b])
-                     for a, b in itertools.combinations(values, 2)}
-    out = {"schema": SCHEMA_VERSION, "command": args.command, "records": records}
-    if refusals:
+            refused[method] = exc
+    return served, refused
+
+
+def cmd_value(args: argparse.Namespace) -> dict:
+    """eval, asympt and xval: the records of the served methods and their pairwise discrepancies.
+
+    A refusing method leaves no record and its {method, error} under `refusals`, present only
+    then.  The command fails, with the first refusal, only when no method serves."""
+    served, refused = _serve(args, args.x, _value_methods(args, args.x))
+    if not served:
+        raise next(iter(refused.values()))
+    discrepancies = {f"{a}/{b}": _rel_discrepancy(served[a][0], served[b][0])
+                     for a, b in itertools.combinations(served, 2)}
+    out = {"schema": SCHEMA_VERSION, "command": args.command, "records": [r for _, r in served.values()]}
+    if refused:
         out["refusals"] = [{"method": method, "error": {"type": type(exc).__name__, "message": str(exc)}}
-                           for method, exc in refusals]
+                           for method, exc in refused.items()]
     if args.command == "xval":
         out["discrepancies"] = discrepancies
     elif discrepancies:
@@ -164,29 +166,27 @@ def cmd_value(args: argparse.Namespace) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> dict:
+    """eval's methods at each grid x, a row each, with their ratio to the asymptotic served there:
+    an invalid instance fails before the grid, an invalid x only its rows, and where the asymptotic
+    refuses (a non-generic lambda) the values are still served and the ratio is left empty."""
+    _spectral(args, 0.0)
     rows = []
     for x in args.x_grid:
-        # shared by the method rows of this x; where it is undefined (a non-generic lambda)
-        # the values are still served and the ratio is left empty
-        try:
-            asym = leading_asymptotic(_spectral(args, x))
-        except ParwhitError:
-            asym = None
-        for method in _value_methods(args, x):
+        methods = _value_methods(args, x)
+        served, refused = _serve(args, x, [*methods, "asymptotic"])
+        asym = served.get("asymptotic", (None,))[0]
+        for method in methods:
             row = {"x": x, "method": method}
-            try:
-                value, rec = _evaluate(_spectral(args, x), method)
-                row.update(rec["value"])
-                row["error_estimate"] = rec["error_estimate"]
-                row["ratio_to_asymptotic"] = None
+            if method in refused:
+                row["error"] = f"{type(refused[method]).__name__}: {refused[method]}"
+            else:
+                value, rec = served[method]
+                row.update(rec["value"], error_estimate=rec["error_estimate"], ratio_to_asymptotic=None, error="")
                 if asym is not None:
                     ratio = value / asym
                     row["ratio_to_asymptotic"] = (
                         math.exp(ratio.log_mag) * math.cos(ratio.phase) if ratio.log_mag < 700 else math.nan
                     )
-                row["error"] = ""
-            except ParwhitError as exc:
-                row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
     return {"schema": SCHEMA_VERSION, "command": "sweep", "rows": rows}
 
@@ -199,10 +199,9 @@ def _sweep_csv(payload: dict) -> str:
     import csv
     import io
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS, extrasaction="ignore")
+    writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS)     # a row's missing cells are empty
     writer.writeheader()
-    for row in payload["rows"]:
-        writer.writerow({k: row.get(k, "") for k in _SWEEP_COLUMNS})
+    writer.writerows(payload["rows"])
     return buf.getvalue()
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
 
 import numpy as np
 
 from .errors import ConfigError, GenericityError
+from .gammafns import _checked_hbar
 
 __all__ = ["SpectralData", "ContourConfig", "GENERICITY_MARGIN", "MAX_NODES_PER_DIM", "MAX_REL_ERR"]
 
@@ -41,14 +42,15 @@ class SpectralData:
             raise ConfigError("m and N must be integers")
         if not 1 <= self.m < self.N:
             raise ConfigError(f"need 1 <= m < N, got m={self.m}, N={self.N}")
+        if not all(isinstance(v, numbers.Real) for v in (*self.lam, self.x)):
+            raise ConfigError(f"lambda and x must be real, got lambda={self.lam!r}, x={self.x!r}")
         lam = tuple(float(v) for v in self.lam)
         if len(lam) != self.N:
             raise ConfigError(f"lambda must have length N={self.N}, got {len(lam)}")
         if not all(math.isfinite(v) for v in lam):
             raise ConfigError("lambda entries must be finite")
         object.__setattr__(self, "lam", lam)
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ConfigError(f"hbar must be finite and > 0, got {self.hbar}")
+        _checked_hbar(self.hbar)
         if not math.isfinite(self.x):
             raise ConfigError("x must be finite")
 

@@ -50,6 +50,12 @@ class TestRunConfig:
         assert main([command, "--m", "2", "--N", "3", *unread]) == EXIT_CONFIG
         assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "asympt", "xval", "sweep"])
+    def test_value_commands_refuse_an_invalid_instance_exit2(self, capsys, command):
+        # sweep too, with its empty default grid: the instance is checked before any x
+        assert main([command, "--m", "3", "--N", "2"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: need 1 <= m < N, got m=3, N=2\n"
+
 
 class TestRecord:
     def test_record_keys(self, capsys):
@@ -248,6 +254,41 @@ class TestSweep:
             assert row["ratio_to_asymptotic"] is None and row["error"] == ""
         _, out = run(capsys, "sweep", "--x-grid=-1", "--format", "csv")
         assert out.splitlines()[1].endswith(",,")   # ratio_to_asymptotic and error empty
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--m", "3", "--N", "2", "--x-grid=-1"), "need 1 <= m < N, got m=3, N=2"),
+        (("--lambda=0.3", "--x-grid=-1"), "lambda must have length N=2, got 1"),
+        (("--hbar", "-1", "--x-grid=-1"), "hbar must be a finite real > 0, got -1.0"),
+    ], ids=["m>=N", "short-lambda", "negative-hbar"])
+    def test_invalid_instance_exit2(self, capsys, argv, message):
+        # an invalid instance fails the command, not its rows
+        assert main(["sweep", *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("x", [-1.0, 1.0])
+    def test_rows_refuse_as_eval_refuses(self, capsys, x):
+        # a row of a refused method carries eval's refusal, a served row eval's value
+        inst = ("--m", "1", "--N", "2", "--lambda", "0.5,0", "--method", "both")
+        _, out = run(capsys, "eval", *inst, "--x", str(x))
+        ev = json.loads(out)
+        records = {rec["method"]: rec for rec in ev["records"]}
+        refusals = {r["method"]: r["error"] for r in ev.get("refusals", [])}
+        code, out = run(capsys, "sweep", *inst, f"--x-grid={x}")
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert [r["method"] for r in rows] == ["mb", "residue"]
+        assert set(records) | set(refusals) == {"mb", "residue"}
+        for row in rows:
+            if row["method"] in refusals:
+                error = refusals[row["method"]]
+                assert row["error"] == f"{error['type']}: {error['message']}"
+                assert set(row) == {"x", "method", "error"}
+            else:
+                rec = records[row["method"]]
+                assert {k: row[k] for k in rec["value"]} == rec["value"]
+                assert row["error_estimate"] == rec["error_estimate"] and row["error"] == ""
+        assert bool(refusals) == (x > 0)    # the residue series refuses x >= 0
 
     def test_csv_output(self, capsys):
         code, out = run(capsys, "sweep", "--m", "1", "--N", "2", "--lambda", "0.5,0",
