@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Check the quadrature's error estimates on benchmark rounds, one seed at a time.
+"""Check benchmark rounds with the benchmark's own verdicts, one seed at a time.
 
 For each seed, builds one round of a benchmark workload
 (perfbench/workloads.py), runs it once in this process (perfbench/worker.py's
 Runner, with the CLI called in-process), and checks it with perfbench/run.py's
-own `compute_references` (mpmath) and `evaluate`.  Prints every unexpected
-failure, then the smallest est/true and the largest error over the served
-`mb` values, each with its instance, and exits 1 if any value failed
-unexpectedly.  A seed whose instances the reference refuses (lambda
-differences on hbar Z, as in `quad` seed 1073) is skipped with a note.
+own `compute_references` (mpmath) and `evaluate`.  Prints each seed's
+`digits_min` and its unexpected failures, then the smallest est/true and the
+largest error over the served `mb` values, each with its instance, and exits
+1 if any value failed unexpectedly.  On `gz-verify` an unexpected failure is
+an identity check above 1e-9 or a perturbed check that passes.  A seed whose
+instances the reference refuses (lambda differences on hbar Z, as in `quad`
+seed 1073) is skipped with a note.
 
     python3 scripts/estimates.py --workload cli-sweep --seeds 801-810
 
 Run it from anywhere inside the checkout; nothing under perfbench/ is
-written.  A seed takes about 0.3 s on `quad` and 1.2 s on `cli-sweep`
-(2 vCPUs), most of it the mpmath references.
+written.  A seed takes about 0.3 s on `quad` and 1.2 s on `cli-sweep`, most
+of it the mpmath references, and 0.15 s on `gz-verify`, which has none
+(2 vCPUs).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _seeds(text: str) -> range:
 
 
 def check_round(run, runner, calls: list, refs: dict):
-    """(unexpected failures, [(est/true, error, value)] over the served mb values) of one round."""
+    """(run.evaluate's verdict, [(est/true, error, value)] over the served mb values) of one round."""
     outputs = [getattr(runner, c["kind"])(c) for c in calls]
     ev = run.evaluate(calls, {"rounds": [{"outputs": outputs}]}, refs)
     served = []
@@ -53,12 +56,13 @@ def check_round(run, runner, calls: list, refs: dict):
             if v["check"] == "mb" and "error" not in out:
                 rel = run._rel(out, refs[run._ref_key(v)])
                 served.append((out["est"] / max(rel, 1e-16), rel, v))
-    return ev["unexpected"], served
+    return ev, served
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True, choices=("quad", "cli-sweep"))
+    p.add_argument("--workload", required=True,
+                   choices=("quad", "series", "cli-sweep", "gz-verify"))
     p.add_argument("--seeds", required=True, type=_seeds, help="A-B, or one seed")
     a = p.parse_args(argv)
 
@@ -74,12 +78,13 @@ def main(argv=None) -> int:
         except ValueError as exc:       # the reference refuses lambda differences on hbar Z
             print(f"seed {seed} skipped, no reference: {exc}")
             continue
-        fails, rows = check_round(run, runner, calls, refs)
-        unexpected += [(seed, v, out) for v, out in fails]
+        ev, rows = check_round(run, runner, calls, refs)
+        print(f"seed {seed}: digits_min {ev['digits_min']:.2f}, {len(ev['unexpected'])} unexpected")
+        for v, out in ev["unexpected"]:
+            print(f"unexpected failure, seed {seed}: {json.dumps(v)} -> {json.dumps(out)[:300]}")
+        unexpected += ev["unexpected"]
         served += [(ratio, rel, seed, v) for ratio, rel, v in rows]
 
-    for seed, v, out in unexpected:
-        print(f"unexpected failure, seed {seed}: {json.dumps(v)} -> {json.dumps(out)[:300]}")
     if served:
         for label, (ratio, rel, seed, v) in (("smallest est/true", min(served, key=lambda r: r[0])),
                                              ("largest error", max(served, key=lambda r: r[1]))):

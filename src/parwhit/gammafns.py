@@ -24,6 +24,7 @@ lines through their saddles.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.special import digamma, loggamma as _loggamma
@@ -56,6 +57,8 @@ def on_pole_lattice(w):
 
 
 def _checked_hbar(hbar) -> float:
-    if not (isinstance(hbar, (int, float)) and math.isfinite(hbar) and hbar > 0):
+    """hbar as a float; ConfigError unless it is a finite real > 0 (numpy reals too, not a bool)."""
+    if not (isinstance(hbar, numbers.Real) and not isinstance(hbar, bool) and math.isfinite(hbar)
+            and hbar > 0):
         raise ConfigError(f"hbar must be a finite real > 0, got {hbar!r}")
     return float(hbar)

@@ -1,4 +1,9 @@
-"""Batches of triangular arrays of Gelfand-Zetlin variables and the right-vector support."""
+"""Batches of triangular arrays of Gelfand-Zetlin variables and the right-vector support.
+
+separated_points is the one sampler of the GZ layer: random arrays, the
+nodes of the Lagrange identity checks and the free rows of the right-vector
+support samples are all drawn with it.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import numpy as np
 from ..errors import ConfigError, SupportError
 from ..gammafns import _checked_hbar
 
-__all__ = ["TriangularArray", "SupportConstraints", "random_array"]
+__all__ = ["TriangularArray", "SupportConstraints", "random_array", "separated_points"]
 
 Position = tuple[int, int]          # (row n, column i), both 1-based
 #: integer shifts in units of hbar, as a mapping or as ((n, i), k) pairs
@@ -92,63 +97,42 @@ class TriangularArray:
         return TriangularArray._of(self.N, data)
 
 
-_LAYOUTS: dict[int, tuple[np.ndarray, ...]] = {}
+def separated_points(rng: np.random.Generator, counts: Sequence[int], size: int,
+                     half: float, gap: float) -> np.ndarray:
+    """size random point sets, one per column of a (sum(counts), size) complex matrix.
 
-
-def _draw_layout(N: int) -> tuple[np.ndarray, ...]:
-    """Where each entry's real and imaginary parts sit among an attempt's N(N+1) uniforms,
-    and the pairs of entries that share a row, with that row."""
-    if N in _LAYOUTS:
-        return _LAYOUTS[N]
-    re, im, pairs = [], [], []
-    for n in range(1, N + 1):
-        start = n * (n - 1)          # the uniforms of rows 1..n-1
-        re += range(start, start + n)
-        im += range(start + n, start + 2 * n)
-        pairs += [(_flat(n, a), _flat(n, b), n) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    a, b, row = (np.array([p[k] for p in pairs], dtype=int) for k in range(3))
-    out = _LAYOUTS[N] = (np.array(re), np.array(im), a, b, row)
-    return out
+    Entries are uniform in [-half, half]^2, and within a column each group of
+    counts[r] consecutive entries is pairwise at least gap apart.  A round
+    draws the real parts, then the imaginary parts, of every missing column in
+    one call and keeps the columns that are separated; only the rest are drawn
+    again, and after 200 rounds ConfigError is raised.  The groups are
+    independent, so keeping a column only when all of them are separated
+    gives each group the law of drawing it alone until it is.
+    """
+    group = np.repeat(np.arange(len(counts)), counts)
+    at = np.arange(len(group))
+    a, b = np.nonzero((group[:, None] == group) & (at[:, None] < at))     # the pairs to check
+    out = np.empty((len(group), size), dtype=complex)
+    missing = np.arange(size)
+    for _ in range(200):
+        u = rng.uniform(-half, half, size=(2, len(group), len(missing)))
+        z = u[0] + 1j * u[1]
+        ok = (np.abs(z[a] - z[b]) >= gap).all(axis=0)
+        out[:, missing[ok]] = z[:, ok]
+        missing = missing[~ok]
+        if not len(missing):
+            return out
+    raise ConfigError(f"no point sets {gap:g} apart in [-{half:g}, {half:g}]^2 after 200 rounds")
 
 
 def random_array(N: int, rng: np.random.Generator, size: int = 1) -> TriangularArray:
     """size random complex arrays as one batch, entries in [-2, 2]^2, within-row entries
-    at least 0.05 apart.
+    at least 0.05 apart (separated_points, one column per array).
 
     Row separation keeps the generator denominators prod (gamma_{n,i} -
-    gamma_{n,s}) and the measure ratios well conditioned.  An attempt reads
-    N(N+1) uniforms, row by row: the n real parts, then the n imaginary parts.
-    An attempt that violates the separation at row n is redrawn, at most 200
-    times per array, starting from the values after row n; only the
-    shortfall is drawn, so every array and the generator's final state are
-    those of drawing each row with its own two calls.
+    gamma_{n,s}) and the measure ratios well conditioned.
     """
-    re, im, pa, pb, prow = _draw_layout(N)
-    width = N * (N + 1)
-    buf = np.empty(0)
-    done: list[np.ndarray] = []
-    kept = fails = 0        # arrays drawn, failed attempts at the array being drawn
-    while kept < size:
-        need = (size - kept) * width
-        if len(buf) < need:
-            buf = np.concatenate([buf, rng.uniform(-2.0, 2.0, size=need - len(buf))])
-        block = buf[:need].reshape(-1, width)
-        z = np.empty((len(block), len(re)), dtype=complex)
-        z.real, z.imag = block[:, re], block[:, im]
-        # the first row of each attempt with two entries closer than 0.05, N + 1 for none
-        first_bad = np.where(np.abs(z[:, pa] - z[:, pb]) < 0.05, prow, N + 1).min(axis=1, initial=N + 1)
-        bad = np.flatnonzero(first_bad <= N)
-        good = bad[0] if len(bad) else len(block)
-        done.append(z[:good])
-        kept += good
-        if good == len(block):
-            break
-        fails = 1 if good else fails + 1
-        if fails == 200:
-            raise ConfigError("failed to sample a well-separated array")
-        row = first_bad[good]
-        buf = buf[good * width + row * (row + 1):]
-    return TriangularArray._of(N, np.concatenate(done).T.copy())
+    return TriangularArray._of(N, separated_points(rng, range(1, N + 1), size, 2.0, 0.05))
 
 
 @dataclass(frozen=True)

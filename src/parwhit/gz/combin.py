@@ -6,6 +6,8 @@ over n nodes: it vanishes for p < n-1, equals 1 at p = n-1, and for p >= n
 equals the complete homogeneous symmetric polynomial of degree p - n + 1 (the
 degree is pinned down by the brute-force monomial oracle in the test suite).
 combin2 is the statement that Lagrange basis polynomials sum to 1 at any point.
+The random nodes of their checks come from the GZ layer's one sampler,
+arrays.separated_points.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import CoincidentPointsError
+from .arrays import separated_points
 
 __all__ = ["factor", "combin1", "combin2", "separated_nodes", "check_combin_identities"]
 
@@ -65,11 +68,8 @@ def combin2(gamma: Sequence[complex], c: complex) -> complex:
 
 
 def separated_nodes(rng: np.random.Generator, n: int) -> list[complex]:
-    """n random complex nodes in [-1.6, 1.6]^2, redrawn until pairwise >= 0.35 apart."""
-    while True:
-        g = [complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6)) for _ in range(n)]
-        if all(abs(g[i] - g[k]) >= 0.35 for i in range(n) for k in range(i + 1, n)):
-            return g
+    """n random complex nodes in [-1.6, 1.6]^2, pairwise >= 0.35 apart (separated_points)."""
+    return separated_points(rng, [n], 1, 1.6, 0.35)[:, 0].tolist()
 
 
 def check_combin_identities(seed: int) -> float:

@@ -17,6 +17,10 @@ checks, pointwise on support samples, the rational identities that drive the
 right-vector computation: the gamma-shift recurrences of the two gamma1
 product blocks, the row-collapse congruence of the interpolation numerators
 on the support, and the final interpolation constant (-1)^m / hbar.
+
+Both verifiers draw with the GZ layer's one sampler, arrays.separated_points:
+the left checks their whole arrays through random_array, the right checks
+their free rows m.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from ..errors import ConfigError, DomainError, VerificationError
 from ..gammafns import _checked_hbar, log_gamma1, on_pole_lattice
-from .arrays import SupportConstraints, TriangularArray, random_array
+from .arrays import SupportConstraints, TriangularArray, random_array, separated_points
 from .combin import factor
 from .operators import adjoint, coxeter_cycle, twist
 
@@ -214,9 +218,11 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
       (gamma_{m-1,r} - gamma_{m,i} - hbar/2) / prod_{k != i} (gamma_{m,i} -
       gamma_{m,k}) equals (-1)^m / hbar.
 
-    The samples are checked as one batch.  A draw whose free row has two
-    entries closer than 0.2 is redrawn at once; a drawn array near a pole is
-    dropped and only the shortfall is drawn again.
+    The samples are checked as one batch.  The free rows come from
+    separated_points (entries in [-1.5, 1.5]^2, at least 0.2 apart) and the
+    spectral rows are uniform in [-2, 2]; a drawn array near a pole is dropped
+    and only the shortfall is drawn again, at most samples + _MAX_RESAMPLE
+    arrays in all.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -227,21 +233,13 @@ def verify_right_support_relations(m: int, N: int, samples: int = 50, seed: int 
     devs = {"outer_shift": 0.0, "inner_shift": 0.0, "double_shift": 0.0,
             "support_congruence": 0.0, "final_constant": 0.0}
     const_sign = 0
-    done = 0
-    tries = 0
+    done = drawn = 0
     while done < samples:
-        free, lams = [], []
-        while len(free) < samples - done:
-            tries += 1
-            if tries > samples + _MAX_RESAMPLE:
-                raise VerificationError("exhausted resampling for non-singular support arrays")
-            t = rng.uniform(-1.5, 1.5, size=m) + 1j * rng.uniform(-1.5, 1.5, size=m)
-            gaps = [abs(t[a] - t[b]) for a in range(m) for b in range(a + 1, m)]
-            if gaps and min(gaps) < 0.2:
-                continue
-            free.append(t)
-            lams.append(rng.uniform(-2.0, 2.0, size=N))
-        arr = sc.build(np.array(free).T, np.array(lams).T)
+        short = samples - done
+        if drawn + short > samples + _MAX_RESAMPLE:
+            raise VerificationError("exhausted resampling for non-singular support arrays")
+        drawn += short
+        arr = sc.build(separated_points(rng, [m], short, 1.5, 0.2), rng.uniform(-2.0, 2.0, size=(N, short)))
         arr = arr[~_near_pole(arr, m, N, h)]
         if not len(arr):
             continue

@@ -38,19 +38,23 @@ class SpectralData:
     x: float
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.N, int)):
-            raise ConfigError("m and N must be integers")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.m, self.N)):
+            raise ConfigError(f"m and N must be integers, got m={self.m!r}, N={self.N!r}")
         if not 1 <= self.m < self.N:
             raise ConfigError(f"need 1 <= m < N, got m={self.m}, N={self.N}")
-        if not all(isinstance(v, numbers.Real) for v in (*self.lam, self.x)):
+        try:
+            lam = tuple(self.lam)
+        except TypeError:
+            raise ConfigError(f"lambda must be a sequence of N={self.N} reals, got {self.lam!r}") from None
+        if not all(isinstance(v, numbers.Real) for v in (*lam, self.x)):
             raise ConfigError(f"lambda and x must be real, got lambda={self.lam!r}, x={self.x!r}")
-        lam = tuple(float(v) for v in self.lam)
+        lam = tuple(map(float, lam))
         if len(lam) != self.N:
             raise ConfigError(f"lambda must have length N={self.N}, got {len(lam)}")
         if not all(math.isfinite(v) for v in lam):
             raise ConfigError("lambda entries must be finite")
         object.__setattr__(self, "lam", lam)
-        _checked_hbar(self.hbar)
+        object.__setattr__(self, "hbar", _checked_hbar(self.hbar))
         if not math.isfinite(self.x):
             raise ConfigError("x must be finite")
 

@@ -94,14 +94,16 @@ def _plain_apply(op, f, arr):
 
 def plain_operator_deviation(A, B, N: int, rng, n_functions: int, n_arrays: int) -> float:
     """operator_deviation with no memo and no batch: the same draws of test functions and
-    arrays, one array at a time, and each operator applied on its own to each array, every
-    symbol and every point of f computed afresh.  The deviation of an array is formed
-    as the library forms it, with numpy's complex abs, which is not Python's."""
+    arrays (each function's arrays as one batch after it), then one array at a time, each
+    operator applied on its own to each array, every symbol and every point of f computed
+    afresh.  The deviation of an array is formed as the library forms it, with numpy's
+    complex abs, which is not Python's."""
     worst = 0.0
     for _ in range(n_functions):
         f = random_test_function(N, rng)
-        for _ in range(n_arrays):
-            arr = random_array(N, rng)
+        batch = random_array(N, rng, n_arrays)
+        for s in range(n_arrays):
+            arr = batch[s]
             va, vb = _plain_apply(A, f, arr), _plain_apply(B, f, arr)
             dev = np.abs(va - vb) / np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1.0)
             worst = max(worst, float(dev[0]))

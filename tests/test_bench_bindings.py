@@ -5,7 +5,7 @@ gammafns calls it as `_loggamma`) in the loaded parwhit modules, and
 perfbench/worker.py calls the library through module attributes.  Both are
 loaded by path and run on each workload's reduced call set; nothing under
 perfbench/ is written.  scripts/estimates.py loads run.py and worker.py the
-same way and is run on two seeds; scripts/parity.py runs a `quad` and a
+same way and is run on two seeds of `quad` and of `gz-verify`; scripts/parity.py runs a `quad` and a
 `cli-sweep` round in this checkout against itself, bit for bit and within
 the estimates.  scripts/bench.py's seed-order values and pairs are checked on
 made-up runs.
@@ -14,6 +14,7 @@ made-up runs.
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -115,6 +116,22 @@ def test_estimates_script_checks_two_seeds():
                                      "unexpected": 0}
     (smallest,) = [line for line in lines if line.startswith("smallest est/true")]
     assert float(smallest.split()[3].rstrip(",")) >= 5.0
+
+
+def test_estimates_script_checks_gz_verify():
+    # on gz-verify every identity check must be at most 1e-9 and every perturbed check
+    # must fail; each seed prints its digits_min
+    p = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "estimates.py"),
+                        "--workload", "gz-verify", "--seeds", "801-802"],
+                       capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                       timeout=300)
+    assert p.returncode == 0, p.stdout + p.stderr
+    lines = p.stdout.splitlines()
+    assert json.loads(lines[-1]) == {"workload": "gz-verify", "seeds": "801-802", "served_mb": 0,
+                                     "unexpected": 0}
+    assert len(lines) == 3
+    for seed, line in zip((801, 802), lines):
+        assert re.fullmatch(rf"seed {seed}: digits_min \d+\.\d\d, 0 unexpected", line), line
 
 
 def test_parity_script_finds_this_checkout_equal_to_itself():

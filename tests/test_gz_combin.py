@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parwhit.errors import CoincidentPointsError
+from parwhit.errors import CoincidentPointsError, ConfigError
 from parwhit.gz import combin1, combin2, factor, separated_nodes
 
 from oracles import homogeneous_poly
@@ -58,6 +58,25 @@ def test_combin2_identity_random():
             g = separated_nodes(rng, n)
             c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             assert abs(combin2(g, c) - 1.0) <= 1e-11
+
+
+def test_separated_nodes_gives_up_on_an_unmeetable_gap():
+    # 100 nodes 0.35 apart in [-1.6, 1.6]^2 are never drawn by chance: the draw must
+    # raise after its 200 rounds, not loop on (the counter stops a draw that would)
+    class Counted:
+        def __init__(self):
+            self.rng, self.calls = np.random.default_rng(0), 0
+
+        def uniform(self, *args, **kwargs):
+            self.calls += 1
+            if self.calls > 1000:
+                raise RuntimeError("separated_nodes does not give up")
+            return self.rng.uniform(*args, **kwargs)
+
+    rng = Counted()
+    with pytest.raises(ConfigError, match="200 rounds"):
+        separated_nodes(rng, 100)
+    assert rng.calls == 200
 
 
 def test_coincident_nodes_rejected():

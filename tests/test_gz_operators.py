@@ -9,6 +9,7 @@ import pytest
 from parwhit.gz import (DifferenceOperator, SupportConstraints, TriangularArray, adjoint,
                         build_Eij, build_EnN, commutator, coxeter_cycle, gen, measure_ratio,
                         random_array, twist)
+from parwhit.gz.arrays import separated_points
 from parwhit.gz.identity import (BracketCheck, check_brackets, check_build_EnN,
                                  operator_deviation, random_test_function)
 from parwhit.gz.whittaker import psi_L, verify_left_whittaker, verify_right_support_relations
@@ -216,16 +217,37 @@ class TestTriangularArray:
         with pytest.raises(ConfigError, match="batch of one"):
             batch.rows
 
-    @pytest.mark.parametrize("N,seed", [(3, 0), (4, 204), (6, 43), (6, 801)])
-    def test_batch_draw_equals_single_draws(self, N, seed):
-        # a batch of arrays takes the same values and leaves the generator in the same
-        # state as drawing them one at a time, redraws included
-        rng = np.random.default_rng(seed)
-        clone = copy.deepcopy(rng)
-        batch = random_array(N, rng, 40)
-        singles = [random_array(N, clone) for _ in range(40)]
-        assert [batch[s].rows for s in range(40)] == [a.rows for a in singles]
-        assert rng.bit_generator.state == clone.bit_generator.state
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_random_array_rows_are_separated(self, N):
+        # one column of separated_points per array: entries in [-2, 2]^2, each row's
+        # entries pairwise at least 0.05 apart, and the same seed gives the same batch
+        batch = random_array(N, np.random.default_rng(N), 40)
+        assert batch.data.shape == (N * (N + 1) // 2, 40)
+        assert (np.abs(batch.data.real) <= 2).all() and (np.abs(batch.data.imag) <= 2).all()
+        for n in range(2, N + 1):
+            a, b = np.triu_indices(n, 1)
+            assert (np.abs(batch.row(n)[a] - batch.row(n)[b]) >= 0.05).all()
+        same = separated_points(np.random.default_rng(N), range(1, N + 1), 40, 2.0, 0.05)
+        assert hexes(same) == hexes(batch.data)
+
+    def test_separated_points_redraws_only_failed_columns(self):
+        # a gap that about half the columns miss: every column of each group still meets
+        # it, and the kept columns of the first round are that round's draws
+        rng = np.random.default_rng(3)
+        first = copy.deepcopy(rng).uniform(-1.0, 1.0, size=(2, 5, 200))
+        first = first[0] + 1j * first[1]
+        got = separated_points(rng, [2, 3], 200, 1.0, 0.4)
+        assert got.shape == (5, 200)
+        assert (np.abs(got.real) <= 1).all() and (np.abs(got.imag) <= 1).all()
+        a, b = np.array([(0, 1), (2, 3), (2, 4), (3, 4)]).T
+        ok = (np.abs(first[a] - first[b]) >= 0.4).all(axis=0)
+        assert 50 < ok.sum() < 150
+        assert (np.abs(got[a] - got[b]) >= 0.4).all()
+        assert hexes(got[:, ok]) == hexes(first[:, ok])
+
+    def test_unmeetable_gap_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="200 rounds"):
+            separated_points(np.random.default_rng(0), [3], 5, 0.1, 1.0)
 
     @pytest.mark.parametrize("N,seed", [(2, 0), (3, 5), (5, 17), (6, 801)])
     def test_random_test_function_keeps_its_draws(self, N, seed):
@@ -252,30 +274,32 @@ class TestTriangularArray:
             assert hexes(f.b[used, 0]) == hexes(offsets)
         assert rng.bit_generator.state == clone.bit_generator.state
 
-    # seed 204 redraws at N = 4 and N = 6, seeds 43 and 179 at N = 6
+    # seeds 0 (N = 3), 179 and 801 (N = 6) redraw an array among their first 20
     @pytest.mark.parametrize("N,seed", [(3, 0), (4, 204), (5, 7), (6, 43), (6, 179), (6, 801)])
     def test_random_array_keeps_its_draws(self, N, seed):
-        # the construction the per-row map(complex, ...) replaced
+        # an array is the first attempt whose rows are all 0.05 apart; an attempt reads
+        # its N(N+1)/2 real parts, then its imaginary parts, in row order
+        P = N * (N + 1) // 2
+
         def reference(rng):
             for attempt in range(1, 201):
-                rows = []
-                for n in range(1, N + 1):
-                    r = [complex(v) for v in
-                         rng.uniform(-2.0, 2.0, size=n) + 1j * rng.uniform(-2.0, 2.0, size=n)]
-                    if any(abs(r[a] - r[b]) < 0.05 for a in range(n) for b in range(a + 1, n)):
-                        break
-                    rows.append(tuple(r))
-                else:
+                u = rng.uniform(-2.0, 2.0, size=2 * P)
+                z = [complex(re, im) for re, im in zip(u[:P], u[P:])]
+                rows = [tuple(z[n * (n - 1) // 2:n * (n + 1) // 2]) for n in range(1, N + 1)]
+                if all(abs(r[a] - r[b]) >= 0.05 for r in rows
+                       for a in range(len(r)) for b in range(a + 1, len(r))):
                     return rows, attempt
 
         rng = np.random.default_rng(seed)
         clone = copy.deepcopy(rng)
-        expect, attempts = reference(clone)
-        got = random_array(N, rng)
-        assert [[(g.real.hex(), g.imag.hex()) for g in r] for r in got.rows] == \
-            [[(g.real.hex(), g.imag.hex()) for g in r] for r in expect]
+        redraws = 0
+        for _ in range(20):
+            expect, attempts = reference(clone)
+            got = random_array(N, rng)
+            assert [hexes(r) for r in got.rows] == [hexes(r) for r in expect]
+            redraws += attempts - 1
         assert rng.bit_generator.state == clone.bit_generator.state
-        assert (attempts > 1) == (seed in (43, 179, 204))
+        assert (redraws > 0) == (seed in (0, 179, 801))
 
 
 class TestAdjoint:

@@ -78,6 +78,11 @@ class TestLeftWhittaker:
         assert rep.passed
         assert rep.hbar == 1.37
 
+    def test_numpy_hbar_is_accepted(self):
+        rep = verify_left_whittaker(2, 3, samples=4, seed=5, hbar=np.float32(1.1))
+        assert rep.passed
+        assert type(rep.hbar) is float and rep.hbar == float(np.float32(1.1))
+
     def test_perturbation_hook_fails_suite(self):
         rep = verify_left_whittaker(2, 3, samples=4, seed=13, perturb=1e-6)
         assert not rep.passed
