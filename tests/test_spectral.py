@@ -12,18 +12,18 @@ VALID = dict(m=1, N=2, lam=(0.5, 0.0), hbar=1.0, x=0.0)
 
 @pytest.mark.parametrize("field,value,message", [
     ("m", 2, "need 1 <= m < N, got m=2, N=2"),
-    ("m", True, "m and N must be integers, got m=True, N=2"),
-    ("lam", 0.5, "lambda must be a sequence of N=2 reals, got 0.5"),
     ("lam", (0.5,), "lambda must have length N=2, got 1"),
     ("lam", ("a", 0.0), "lambda and x must be real, got lambda=('a', 0.0), x=0.0"),
     ("lam", (0.5, 1j), "lambda and x must be real"),
     ("lam", (0.5, math.inf), "lambda entries must be finite"),
     ("hbar", "1", "hbar must be a finite real > 0, got '1'"),
     ("hbar", -1.0, "hbar must be a finite real > 0, got -1.0"),
-    ("hbar", True, "hbar must be a finite real > 0, got True"),
     ("hbar", math.nan, "hbar must be a finite real > 0, got nan"),
     ("x", "0", "lambda and x must be real, got lambda=(0.5, 0.0), x='0'"),
     ("x", math.nan, "x must be finite"),
+    ("m", True, "m and N must be integers, got m=True, N=2"),
+    ("lam", 0.5, "lambda must be a sequence of N=2 reals, got 0.5"),
+    ("hbar", True, "hbar must be a finite real > 0, got True"),
 ])
 def test_invalid_instance_is_a_config_error(field, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
